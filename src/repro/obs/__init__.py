@@ -63,6 +63,7 @@ from repro.obs.instrument import (
     SAMPLE_SIZE_BUCKETS,
     SYNOPSIS_ERROR_BUCKETS,
     OperatorMetrics,
+    OperatorObserver,
     operator_rows,
 )
 from repro.obs.metrics import (
@@ -99,7 +100,7 @@ from repro.obs.timeseries import (
     TelemetryConfig,
     TelemetryRecorder,
 )
-from repro.obs.trace import OperatorTrace, Span, TraceConfig, Tracer
+from repro.obs.trace import Span, TraceConfig, Tracer
 
 __all__ = [
     "Counter",
@@ -108,6 +109,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "OperatorMetrics",
+    "OperatorObserver",
     "operator_rows",
     "exponential_buckets",
     "linear_buckets",
@@ -137,7 +139,6 @@ __all__ = [
     "TraceConfig",
     "Span",
     "Tracer",
-    "OperatorTrace",
     "ProvenanceRecord",
     "ProvenanceRecorder",
     "lineage_from_operands",

@@ -1,9 +1,11 @@
 """Per-operator instrumentation bundles and snapshot helpers.
 
-:class:`OperatorMetrics` is the object an :class:`~repro.streams.operators.Operator`
-holds when a :class:`~repro.obs.metrics.MetricsRegistry` is attached to
-its pipeline.  It pre-registers every metric the operator hooks update,
-so the hot path does plain attribute access — no dict lookups per tuple.
+:class:`OperatorMetrics` pre-registers every metric the operator hooks
+update, so the hot path does plain attribute access — no dict lookups
+per tuple.  :class:`OperatorObserver` extends it into the one handle an
+:class:`~repro.streams.operators.Operator` holds while its pipeline has
+a registry and/or a :class:`~repro.obs.trace.Tracer` attached: the same
+counters and timers feed both the metrics and the stage spans.
 
 The metric names are hierarchical: ``{operator id}.{metric}``, where the
 operator id is ``{prefix}.{index:02d}.{ClassName}`` as assigned by
@@ -15,6 +17,7 @@ snapshot back into one row per operator for tabular reporting
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.core.accuracy import AccuracyInfo
 from repro.core.analytic import mean_interval
@@ -24,6 +27,9 @@ from repro.obs.metrics import (
     exponential_buckets,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.trace import Span, Tracer
+
 __all__ = [
     "BATCH_SIZE_BUCKETS",
     "INTERVAL_WIDTH_BUCKETS",
@@ -32,6 +38,7 @@ __all__ = [
     "SYNOPSIS_ERROR_BUCKETS",
     "DRAWS_USED_BUCKETS",
     "OperatorMetrics",
+    "OperatorObserver",
     "operator_rows",
 ]
 
@@ -222,6 +229,118 @@ class OperatorMetrics:
         else:
             self.unsure.inc()
         self.sample_sizes.observe(size)
+
+
+class OperatorObserver(OperatorMetrics):
+    """One operator's observability handle: metrics, spans, provenance.
+
+    Tuples in/out, calls and wall time are counted once, in the
+    :class:`OperatorMetrics` counters and timers.  With a ``registry``
+    they are registered there; without one (tracing only) they live in
+    a private registry, and the accuracy, rolling and state metrics are
+    off.  With a ``tracer`` the handle also opens the operator's stage
+    span per run — its tuple, call and second totals are deltas of the
+    same counters — its sampled batch spans, and one provenance record
+    per emitted tuple of an accuracy-producing operator.
+    """
+
+    __slots__ = ("index", "tracer", "provenance", "stage_span", "_stage_start")
+
+    def __init__(
+        self,
+        name: str,
+        index: int = 0,
+        accuracy_attribute: str | None = None,
+        registry: MetricsRegistry | None = None,
+        tracer: "Tracer | None" = None,
+        rolling: bool = False,
+        memory: bool = False,
+    ) -> None:
+        metrics = registry is not None
+        super().__init__(
+            registry if metrics else MetricsRegistry(),
+            name,
+            accuracy_attribute if metrics else None,
+            rolling=rolling and metrics,
+            memory=memory and metrics,
+        )
+        # Provenance names the attribute even when metrics are off.
+        self.accuracy_attribute = accuracy_attribute
+        self.index = index
+        self.tracer = tracer
+        self.provenance = (
+            tracer.provenance
+            if tracer is not None and accuracy_attribute is not None
+            else None
+        )
+        self.stage_span: Span | None = None
+
+    def _totals(self) -> tuple[int, int, int, int, float]:
+        process, batch = self.process_seconds, self.batch_seconds
+        return (
+            self.tuples_in.value,
+            self.tuples_out.value,
+            process.count,
+            batch.count,
+            process.total + batch.total + self.flush_seconds.total,
+        )
+
+    # -- hot-path hooks (driven by Operator) ----------------------------
+
+    def begin_batch(self, size: int) -> "Span | None":
+        """Count one input batch; open its batch span if sampled."""
+        self.tuples_in.inc(size)
+        self.batch_sizes.observe(size)
+        if self.tracer is None:
+            return None
+        return self.tracer.begin_batch(
+            f"{self.name}.batch",
+            parent=self.stage_span,
+            attrs={"stage_index": self.index, "batch_size": size},
+        )
+
+    def emitted(self, operator: object, tuples) -> None:
+        """Count (and record the accuracy of) tuples ``operator`` emits."""
+        self.tuples_out.inc(len(tuples))
+        if self.interval_widths is not None:
+            observe = self.observe_accuracy
+            for tup in tuples:
+                observe(tup)
+        if self.provenance is not None:
+            record = self.provenance.record
+            for tup in tuples:
+                record(self, operator, tup)
+
+    # -- run lifecycle (driven by Pipeline) -----------------------------
+
+    def start_stage(self, run_span: "Span") -> None:
+        """Open this operator's stage span for one pipeline run."""
+        self._stage_start = self._totals()
+        self.stage_span = self.tracer.begin(
+            self.name,
+            kind="stage",
+            parent=run_span,
+            attrs={"stage_index": self.index},
+        )
+
+    def end_stage(self) -> None:
+        """Close the stage span as a summary: duration = inclusive time."""
+        span = self.stage_span
+        if span is None:
+            return
+        tuples_in, tuples_out, calls, batches, seconds = (
+            now - before
+            for now, before in zip(self._totals(), self._stage_start)
+        )
+        self.tracer.end(
+            span,
+            end=span.start + seconds,
+            tuples_in=tuples_in,
+            tuples_out=tuples_out,
+            calls=calls + batches,
+            batches=batches,
+        )
+        self.stage_span = None
 
 
 def _stage_sort_key(op_id: str) -> tuple:

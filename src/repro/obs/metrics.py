@@ -54,6 +54,18 @@ def gauge_folds_by_sum(name: str) -> bool:
     return name.endswith(SUMMED_GAUGE_SUFFIXES)
 
 
+def finite_json(value: object) -> object:
+    """``value`` in strict-JSON form: non-finite floats become ``None``
+    (recursively), dict keys strings and tuples lists."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {str(k): finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_json(v) for v in value]
+    return value
+
+
 def exponential_buckets(
     start: float, factor: float, count: int
 ) -> tuple[float, ...]:
@@ -351,7 +363,7 @@ class MetricsRegistry:
         if existing is not None:
             if type(existing) is not cls:
                 raise ObservabilityError(
-                    f"metric {name!r} already registered as "
+                    f"metric {name!r} type mismatch: registered as "
                     f"{type(existing).__name__}, not {cls.__name__}"
                 )
             return existing
@@ -475,18 +487,8 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = None) -> str:
         """The snapshot as strict JSON (non-finite values become null)."""
-
-        def _jsonable(value: object) -> object:
-            if isinstance(value, float) and not math.isfinite(value):
-                return None
-            if isinstance(value, dict):
-                return {k: _jsonable(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [_jsonable(v) for v in value]
-            return value
-
         return json.dumps(
-            _jsonable(self.snapshot()), indent=indent, allow_nan=False
+            finite_json(self.snapshot()), indent=indent, allow_nan=False
         )
 
     def render_prometheus(self) -> str:

@@ -287,7 +287,8 @@ class ProvenanceRecorder:
     def record(self, handle, operator, tup) -> ProvenanceRecord | None:
         """Record the accuracy lineage of one emitted tuple.
 
-        ``handle`` is the operator's :class:`~repro.obs.trace.OperatorTrace`;
+        ``handle`` is the operator's
+        :class:`~repro.obs.instrument.OperatorObserver`;
         ``operator`` supplies :meth:`trace_lineage`.  The per-stage output
         sequence number advances for every emitted tuple whether or not
         the record is sampled, so sampled sets are seed-stable.

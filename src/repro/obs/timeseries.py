@@ -21,7 +21,7 @@ count (:meth:`FrameSeries.deterministic_view` excludes the timer
 seconds, exactly like ``Tracer.deterministic_view`` excludes span
 timestamps).
 
-Frame merge semantics mirror
+Frames merge through
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`: counter /
 timer / histogram deltas accumulate, state gauges
 (:func:`~repro.obs.metrics.gauge_folds_by_sum`) sum, other gauges take
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, gauge_folds_by_sum
+from repro.obs.metrics import MetricsRegistry, finite_json
 
 __all__ = [
     "TelemetryConfig",
@@ -127,39 +126,30 @@ class Frame:
         )
 
     def fold(self, incoming: dict[str, dict[str, object]]) -> None:
-        """Accumulate another shard's deltas for the same frame index."""
-        for name, state in incoming.items():
-            mine = self.metrics.get(name)
-            if mine is None:
-                self.metrics[name] = _copy_state(state)
-                continue
-            kind = state.get("type")
-            if kind != mine.get("type"):
-                raise ObservabilityError(
-                    f"frame metric {name!r} type mismatch: "
-                    f"{mine.get('type')!r} vs incoming {kind!r}"
-                )
-            if kind == "counter":
-                mine["value"] = int(mine["value"]) + int(state["value"])  # type: ignore[arg-type]
-            elif kind == "gauge":
-                if gauge_folds_by_sum(name):
-                    mine["value"] = (
-                        float(mine["value"]) + float(state["value"])  # type: ignore[arg-type]
-                    )
-                else:
-                    mine["value"] = float(state["value"])  # type: ignore[arg-type]
-            elif kind == "timer":
-                mine["count"] = int(mine["count"]) + int(state["count"])  # type: ignore[arg-type]
-                mine["total_seconds"] = float(
-                    mine["total_seconds"]  # type: ignore[arg-type]
-                ) + float(state["total_seconds"])  # type: ignore[arg-type]
-            elif kind == "histogram":
-                _fold_histogram(name, mine, state)
-            else:
-                raise ObservabilityError(
-                    f"cannot fold frame metric {name!r} of unknown "
-                    f"type {kind!r}"
-                )
+        """Accumulate another shard's deltas for the same frame index.
+
+        The fold is :meth:`MetricsRegistry.merge_snapshot` itself, so
+        frames and registries merge by one rule.
+        """
+        registry = MetricsRegistry()
+        registry.merge_snapshot(self.metrics)
+        registry.merge_snapshot(incoming)
+        self.metrics = {
+            name: {
+                "type": state["type"],
+                **{key: state[key] for key in _DELTA_FIELDS[state["type"]]},  # type: ignore[index]
+            }
+            for name, state in registry.snapshot().items()
+        }
+
+
+#: The fields a frame keeps of each metric type's snapshot state.
+_DELTA_FIELDS = {
+    "counter": ("value",),
+    "gauge": ("value",),
+    "timer": ("count", "total_seconds"),
+    "histogram": ("count", "sum", "buckets"),
+}
 
 
 def _copy_state(state: dict[str, object]) -> dict[str, object]:
@@ -168,24 +158,6 @@ def _copy_state(state: dict[str, object]) -> dict[str, object]:
     if isinstance(buckets, list):
         copied["buckets"] = [dict(b) for b in buckets]
     return copied
-
-
-def _fold_histogram(
-    name: str, mine: dict[str, object], state: dict[str, object]
-) -> None:
-    my_buckets: list[dict[str, object]] = mine["buckets"]  # type: ignore[assignment]
-    in_buckets: list[dict[str, object]] = state["buckets"]  # type: ignore[assignment]
-    my_bounds = [float(b["le"]) for b in my_buckets]  # type: ignore[arg-type]
-    in_bounds = [float(b["le"]) for b in in_buckets]  # type: ignore[arg-type]
-    if my_bounds != in_bounds:
-        raise ObservabilityError(
-            f"frame histogram {name!r} bucket bounds differ: "
-            f"{my_bounds} vs incoming {in_bounds}"
-        )
-    for slot, bucket in zip(my_buckets, in_buckets):
-        slot["count"] = int(slot["count"]) + int(bucket["count"])  # type: ignore[arg-type]
-    mine["count"] = int(mine["count"]) + int(state["count"])  # type: ignore[arg-type]
-    mine["sum"] = float(mine["sum"]) + float(state["sum"])  # type: ignore[arg-type]
 
 
 def _snapshot_delta(
@@ -304,16 +276,6 @@ class FrameSeries:
         return [frame.deterministic_dict() for frame in self.frames]
 
 
-def _jsonable(value: object) -> object:
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 class TelemetryRecorder:
     """Cuts fixed-interval frames from a registry as the stream advances.
 
@@ -406,16 +368,9 @@ class TelemetryRecorder:
         self, deterministic: bool = False, indent: int | None = None
     ) -> str:
         """The series as strict JSON (non-finite floats become null)."""
-        frames = (
-            self.series.deterministic_view()
-            if deterministic
-            else self.series.to_dicts()
-        )
-        payload = {
-            "frame_interval": self.config.frame_interval,
-            "dropped": self.series.dropped,
-            "frames": frames,
-        }
+        payload = self.snapshot()
+        if deterministic:
+            payload["frames"] = self.series.deterministic_view()
         return json.dumps(
-            _jsonable(payload), indent=indent, allow_nan=False
+            finite_json(payload), indent=indent, allow_nan=False
         )

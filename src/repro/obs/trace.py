@@ -41,7 +41,7 @@ from time import perf_counter
 from repro.errors import ObservabilityError
 from repro.obs.provenance import ProvenanceRecorder
 
-__all__ = ["TraceConfig", "Span", "Tracer", "OperatorTrace"]
+__all__ = ["TraceConfig", "Span", "Tracer"]
 
 #: Span kinds the engine emits; exporters may rely on this vocabulary.
 SPAN_KINDS = ("run", "stage", "batch", "shard")
@@ -197,18 +197,7 @@ class Tracer:
         """Open a structural span (always retained, never sampled out)."""
         seq = self._seq
         self._seq += 1
-        span = Span(
-            span_id=_stable_id(self.config.seed, self.shard, seq),
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            kind=kind,
-            shard=self.shard,
-            seq=seq,
-            start=perf_counter(),
-            attrs=dict(attrs) if attrs else {},
-        )
-        self._spans.append(span)
-        return span
+        return self._open(seq, name, kind, parent, attrs)
 
     def begin_batch(
         self,
@@ -234,11 +223,21 @@ class Tracer:
         ):
             return None
         self._batch_spans += 1
+        return self._open(seq, name, "batch", parent, attrs)
+
+    def _open(
+        self,
+        seq: int,
+        name: str,
+        kind: str,
+        parent: Span | None,
+        attrs: dict[str, object] | None,
+    ) -> Span:
         span = Span(
-            span_id=_stable_id(config.seed, self.shard, seq),
+            span_id=_stable_id(self.config.seed, self.shard, seq),
             parent_id=parent.span_id if parent is not None else None,
             name=name,
-            kind="batch",
+            kind=kind,
             shard=self.shard,
             seq=seq,
             start=perf_counter(),
@@ -332,108 +331,3 @@ class Tracer:
                 "(TraceConfig(provenance=True) enables it)"
             )
         return self.provenance.explain(tup)
-
-
-class OperatorTrace:
-    """Per-operator trace handle, the tracing analogue of
-    :class:`~repro.obs.instrument.OperatorMetrics`.
-
-    Holds the operator's stage span for the current run plus the
-    counters written into it at close; the hot-path hooks touch only
-    plain attributes.
-    """
-
-    __slots__ = (
-        "tracer",
-        "name",
-        "index",
-        "accuracy_attribute",
-        "stage_span",
-        "tuples_in",
-        "tuples_out",
-        "calls",
-        "batches",
-        "seconds",
-    )
-
-    def __init__(
-        self,
-        tracer: Tracer,
-        name: str,
-        index: int = 0,
-        accuracy_attribute: str | None = None,
-    ) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.index = index
-        self.accuracy_attribute = accuracy_attribute
-        self.stage_span: Span | None = None
-        self.tuples_in = 0
-        self.tuples_out = 0
-        self.calls = 0
-        self.batches = 0
-        self.seconds = 0.0
-
-    # -- run lifecycle (driven by Pipeline) -----------------------------
-
-    def start_stage(self, run_span: Span | None) -> None:
-        """Open this operator's stage span for one pipeline run."""
-        self.tuples_in = 0
-        self.tuples_out = 0
-        self.calls = 0
-        self.batches = 0
-        self.seconds = 0.0
-        self.stage_span = self.tracer.begin(
-            self.name,
-            kind="stage",
-            parent=run_span,
-            attrs={"stage_index": self.index},
-        )
-
-    def end_stage(self) -> None:
-        """Close the stage span as a summary: duration = inclusive time."""
-        span = self.stage_span
-        if span is None:
-            return
-        self.tracer.end(
-            span,
-            end=span.start + self.seconds,
-            tuples_in=self.tuples_in,
-            tuples_out=self.tuples_out,
-            calls=self.calls,
-            batches=self.batches,
-        )
-        self.stage_span = None
-
-    # -- hot-path hooks (driven by Operator) ----------------------------
-
-    def on_receive(self) -> None:
-        self.tuples_in += 1
-        self.calls += 1
-
-    def begin_batch(self, size: int) -> Span | None:
-        self.tuples_in += size
-        self.calls += 1
-        self.batches += 1
-        return self.tracer.begin_batch(
-            f"{self.name}.batch",
-            parent=self.stage_span,
-            attrs={"stage_index": self.index, "batch_size": size},
-        )
-
-    def end_batch(self, span: Span | None, emitted: int) -> None:
-        if span is not None:
-            self.tracer.end(span, emitted=emitted)
-
-    def on_emit(self, operator: object, tup: object) -> None:
-        self.tuples_out += 1
-        recorder = self.tracer.provenance
-        if recorder is not None and self.accuracy_attribute is not None:
-            recorder.record(self, operator, tup)
-
-    def on_emit_many(self, operator: object, tuples: object) -> None:
-        self.tuples_out += len(tuples)  # type: ignore[arg-type]
-        recorder = self.tracer.provenance
-        if recorder is not None and self.accuracy_attribute is not None:
-            for tup in tuples:  # type: ignore[attr-defined]
-                recorder.record(self, operator, tup)

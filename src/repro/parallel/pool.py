@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Sequence
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.errors import ParallelError
@@ -81,27 +82,34 @@ class WorkerPool:
 
         Task order — never completion order — keeps every downstream
         merge deterministic regardless of scheduling.  On a serial pool
-        the tasks run in-process in the same order.  If the pool breaks
-        mid-flight (a worker was OOM-killed, say) the call degrades to
-        re-running every task serially when ``fallback_serial`` is on.
+        the tasks run in-process in the same order.  A task that raises
+        re-raises here, noted with its task index, and the pool stays
+        parallel.  Only a broken pool (a worker was OOM-killed, say)
+        degrades: every task re-runs serially, and later calls stay
+        serial, when ``fallback_serial`` is on.
         """
         executor = self._ensure_executor()
         if executor is None:
             return [fn(*task) for task in tasks]
+        futures = []
         try:
             futures = [executor.submit(fn, *task) for task in tasks]
-            return [future.result() for future in futures]
-        except Exception as exc:  # noqa: BLE001 - includes BrokenProcessPool
+            return [
+                _result(index, future) for index, future in enumerate(futures)
+            ]
+        except BrokenProcessPool as exc:
             if not self.config.fallback_serial:
                 raise
             warnings.warn(
-                f"parallel pool failed mid-run ({exc}); "
-                "re-running serially",
+                f"parallel pool failed mid-run ({exc}); re-running serially",
                 stacklevel=3,
             )
             self.close()
             self._broken = True
             return [fn(*task) for task in tasks]
+        finally:
+            for future in futures:
+                future.cancel()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -113,3 +121,15 @@ class WorkerPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _result(index: int, future: Any) -> Any:
+    """A task's result; a task exception is noted with its index."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        raise
+    except Exception as exc:
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note(f"raised by parallel task {index}")
+        raise

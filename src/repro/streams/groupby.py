@@ -14,7 +14,7 @@ Each group's window rides the rolling kernels of
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import StreamError
 from repro.streams.columnar import EXACT_SIZE, ColumnarBatch, _infer_column
@@ -118,14 +118,8 @@ class GroupedAggregate(Operator):
         self._early: dict[object, int] = {}
         self._arrivals = 0
 
-    def _sync_rolling_metrics(self) -> None:
-        obs = self._obs
-        if obs is None:
-            for stats in self._groups.values():
-                stats.set_metrics(None, None)
-        else:
-            for stats in self._groups.values():
-                stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
+    def rolling_states(self) -> Iterable:
+        return self._groups.values()
 
     def _group_stats(self, group_key: object) -> RollingWindowStats:
         stats = self._groups.get(group_key)
@@ -137,9 +131,7 @@ class GroupedAggregate(Operator):
                     self.resum_interval,
                     track_extrema=self.agg in ("min", "max"),
                 )
-            obs = self._obs
-            if obs is not None:
-                stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
+            self._bind_rolling(stats)
             self._groups[group_key] = stats
         return stats
 

@@ -30,9 +30,9 @@ from repro.core.dfsample import DfSized
 from repro.core.predicates import SignificancePredicate
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import StreamError
-from repro.obs.instrument import OperatorMetrics
+from repro.obs.instrument import OperatorObserver
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import OperatorTrace, Tracer
+from repro.obs.trace import Tracer
 from repro.streams.columnar import (
     EXACT_SIZE,
     ColumnarBatch,
@@ -64,11 +64,12 @@ class Operator(abc.ABC):
     """Base class: process tuples, push results to the downstream operator.
 
     Entry points (:meth:`receive`, :meth:`receive_many`, :meth:`emit`,
-    :meth:`emit_many`, :meth:`flush`) double as observability hooks: when
-    a :class:`~repro.obs.metrics.MetricsRegistry` is attached (via
-    :meth:`attach_metrics`, usually through ``Pipeline(registry=...)``)
-    they record tuples in/out, wall time per call, and batch sizes.  With
-    no registry attached each hook is a single attribute check, so the
+    :meth:`emit_many`, :meth:`flush`) double as observability hooks:
+    while an :class:`~repro.obs.instrument.OperatorObserver` is attached
+    (via :meth:`attach`, usually through ``Pipeline(registry=...,
+    tracer=...)``) they record tuples in/out, wall time per call, batch
+    sizes and — with a tracer — stage/batch spans and provenance.  With
+    nothing attached each hook is a single ``is None`` check, so the
     uninstrumented hot path is unchanged.
 
     Subclasses implement :meth:`process` (one tuple) and may override
@@ -84,8 +85,8 @@ class Operator(abc.ABC):
 
     #: Set by operators holding drift-guarded rolling state
     #: (:mod:`repro.streams.rolling`): registers the per-operator
-    #: ``rolling.resums`` counter and ``rolling.drift`` histogram and
-    #: triggers :meth:`_sync_rolling_metrics` on attach/detach.
+    #: ``rolling.resums`` counter and ``rolling.drift`` histogram, which
+    #: :meth:`attach` binds to every state in :meth:`rolling_states`.
     rolling_metrics: bool = False
 
     #: Set by operators with meaningful retained state: registers the
@@ -96,53 +97,70 @@ class Operator(abc.ABC):
 
     def __init__(self) -> None:
         self._downstream: Operator | None = None
-        self._obs: OperatorMetrics | None = None
-        self._trace: OperatorTrace | None = None
+        self._observer: OperatorObserver | None = None
 
     def connect(self, downstream: "Operator") -> "Operator":
         """Attach (and return) the downstream operator, enabling chaining."""
         self._downstream = downstream
         return downstream
 
-    def attach_metrics(
-        self, registry: MetricsRegistry, name: str | None = None
-    ) -> OperatorMetrics:
-        """Start recording this operator's metrics into ``registry``."""
+    def attach(
+        self,
+        registry: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+        name: str | None = None,
+        index: int = 0,
+    ) -> OperatorObserver:
+        """Start recording metrics into ``registry`` and/or spans into
+        ``tracer`` under stage ``name`` / ``index``."""
         if name is None:
             name = type(self).__name__.lstrip("_")
-        self._obs = OperatorMetrics(
-            registry,
+        self._observer = OperatorObserver(
             name,
+            index,
             self.accuracy_attribute,
+            registry,
+            tracer,
             rolling=self.rolling_metrics,
             memory=self.memory_metrics,
         )
-        self._sync_rolling_metrics()
-        return self._obs
+        for state in self.rolling_states():
+            self._bind_rolling(state)
+        return self._observer
 
-    def detach_metrics(self) -> None:
-        """Stop recording metrics (already-recorded values are kept)."""
-        self._obs = None
-        self._sync_rolling_metrics()
+    def detach(self) -> None:
+        """Stop recording (recorded values and spans are kept) and unbind
+        the rolling states, so that copies of a detached operator never
+        drag registry objects into worker processes."""
+        self._observer = None
+        for state in self.rolling_states():
+            self._bind_rolling(state)
 
-    def attach_trace(
-        self, tracer: Tracer, name: str | None = None, index: int = 0
-    ) -> OperatorTrace:
-        """Start recording this operator's spans into ``tracer``.
+    def attach_metrics(
+        self, registry: MetricsRegistry, name: str | None = None
+    ) -> OperatorObserver:
+        """Shorthand for :meth:`attach` with a registry only."""
+        return self.attach(registry, name=name)
 
-        Mirrors :meth:`attach_metrics`: the handle carries the stage
-        name/index and the ``accuracy_attribute`` feeding provenance.
+    def rolling_states(self) -> Iterable:
+        """The drift-guarded rolling states this operator holds.
+
+        Operators with ``rolling_metrics = True`` return each state that
+        has ``set_metrics``; :meth:`attach` binds them and
+        :meth:`detach` unbinds them.
         """
-        if name is None:
-            name = type(self).__name__.lstrip("_")
-        self._trace = OperatorTrace(
-            tracer, name, index, self.accuracy_attribute
-        )
-        return self._trace
+        return ()
 
-    def detach_trace(self) -> None:
-        """Stop recording spans (already-recorded spans are kept)."""
-        self._trace = None
+    def _bind_rolling(self, state) -> None:
+        """Bind one rolling state to the attached drift-guard metrics,
+        or unbind it when there are none."""
+        observer = self._observer
+        if observer is None or observer.rolling_resums is None:
+            state.set_metrics(None, None)
+        else:
+            state.set_metrics(
+                observer.rolling_resums, observer.rolling_drift
+            )
 
     def trace_lineage(self, tup: UncertainTuple) -> dict[str, object] | None:
         """Accuracy lineage of one *emitted* tuple, for provenance.
@@ -156,17 +174,6 @@ class Operator(abc.ABC):
         """
         return None
 
-    def _sync_rolling_metrics(self) -> None:
-        """Hook: bind/unbind drift-guard metrics on rolling kernels.
-
-        Operators with ``rolling_metrics = True`` override this to call
-        ``set_metrics`` on each rolling state they hold — binding when
-        ``self._obs`` is set, unbinding otherwise.  Unbinding matters:
-        ``Pipeline.pristine`` deep-copies operators after detaching
-        metrics, and kernel state must never drag registry objects into
-        worker processes.
-        """
-
     def reseed(self, seed: object) -> None:
         """Replace internal randomness from a ``numpy`` seed sequence.
 
@@ -178,14 +185,9 @@ class Operator(abc.ABC):
         """
 
     def emit(self, tup: UncertainTuple) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.tuples_out.inc()
-            if obs.accuracy_attribute is not None:
-                obs.observe_accuracy(tup)
-        trace = self._trace
-        if trace is not None:
-            trace.on_emit(self, tup)
+        observer = self._observer
+        if observer is not None:
+            observer.emitted(self, (tup,))
         if self._downstream is not None:
             self._downstream.receive(tup)
 
@@ -193,64 +195,41 @@ class Operator(abc.ABC):
         """Push a whole batch downstream (batch-aware operators)."""
         if not tuples:
             return
-        obs = self._obs
-        if obs is not None:
-            obs.tuples_out.inc(len(tuples))
-            if obs.accuracy_attribute is not None:
-                observe = obs.observe_accuracy
-                for tup in tuples:
-                    observe(tup)
-        trace = self._trace
-        if trace is not None:
-            trace.on_emit_many(self, tuples)
+        observer = self._observer
+        if observer is not None:
+            observer.emitted(self, tuples)
         if self._downstream is not None:
             self._downstream.receive_many(tuples)
 
     def receive(self, tup: UncertainTuple) -> None:
-        obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
+        observer = self._observer
+        if observer is None:
             self.process(tup)
             return
-        if obs is not None:
-            obs.tuples_in.inc()
-        if trace is not None:
-            trace.on_receive()
+        observer.tuples_in.inc()
         start = perf_counter()
         try:
             self.process(tup)
         finally:
-            elapsed = perf_counter() - start
-            if obs is not None:
-                obs.process_seconds.record(elapsed)
-            if trace is not None:
-                trace.seconds += elapsed
+            observer.process_seconds.record(perf_counter() - start)
 
     def receive_many(self, tuples: Sequence[UncertainTuple]) -> None:
         """Handle a batch of tuples (``Pipeline.run_batched``)."""
-        obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
+        observer = self._observer
+        if observer is None:
             self.process_many(tuples)
             return
-        if obs is not None:
-            obs.tuples_in.inc(len(tuples))
-            obs.batch_sizes.observe(len(tuples))
-        span = None
-        out_before = 0
-        if trace is not None:
-            out_before = trace.tuples_out
-            span = trace.begin_batch(len(tuples))
+        span = observer.begin_batch(len(tuples))
+        out_before = observer.tuples_out.value
         start = perf_counter()
         try:
             self.process_many(tuples)
         finally:
-            elapsed = perf_counter() - start
-            if obs is not None:
-                obs.batch_seconds.record(elapsed)
-            if trace is not None:
-                trace.seconds += elapsed
-                trace.end_batch(span, trace.tuples_out - out_before)
+            observer.batch_seconds.record(perf_counter() - start)
+            if span is not None:
+                observer.tracer.end(
+                    span, emitted=observer.tuples_out.value - out_before
+                )
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         """Batch-processing hook behind :meth:`receive_many`.
@@ -282,24 +261,19 @@ class Operator(abc.ABC):
 
     def flush(self) -> None:
         """Propagate end-of-stream; override ``on_flush`` to drain state."""
-        obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
+        observer = self._observer
+        if observer is None:
             self.on_flush()
         else:
             start = perf_counter()
             try:
                 self.on_flush()
             finally:
-                elapsed = perf_counter() - start
-                if obs is not None:
-                    obs.flush_seconds.record(elapsed)
-                if trace is not None:
-                    trace.seconds += elapsed
-            if obs is not None and obs.memory:
+                observer.flush_seconds.record(perf_counter() - start)
+            if observer.memory:
                 retained = self.state_bytes()
                 if retained is not None:
-                    obs.record_state_bytes(retained)
+                    observer.record_state_bytes(retained)
         if self._downstream is not None:
             self._downstream.flush()
 
@@ -514,12 +488,8 @@ class SlidingGaussianAverage(Operator):
         self.emit_partial = emit_partial
         self._stats = RollingWindowStats(resum_interval)
 
-    def _sync_rolling_metrics(self) -> None:
-        obs = self._obs
-        if obs is None:
-            self._stats.set_metrics(None, None)
-        else:
-            self._stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
+    def rolling_states(self) -> Iterable:
+        return (self._stats,)
 
     def _advance(self, tup: UncertainTuple) -> UncertainTuple | None:
         """Slide the window by one tuple; return the output tuple, if any."""
@@ -717,12 +687,8 @@ class WindowAggregate(Operator):
             resum_interval, track_extrema=agg in ("min", "max")
         )
 
-    def _sync_rolling_metrics(self) -> None:
-        obs = self._obs
-        if obs is None:
-            self._stats.set_metrics(None, None)
-        else:
-            self._stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
+    def rolling_states(self) -> Iterable:
+        return (self._stats,)
 
     def _advance(self, tup: UncertainTuple) -> UncertainTuple:
         """Slide the window by one tuple and build the aggregate tuple."""
@@ -886,12 +852,8 @@ class TimeWindowAggregate(Operator):
             resum_interval, track_extrema=agg in ("min", "max")
         )
 
-    def _sync_rolling_metrics(self) -> None:
-        obs = self._obs
-        if obs is None:
-            self._stats.set_metrics(None, None)
-        else:
-            self._stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
+    def rolling_states(self) -> Iterable:
+        return (self._stats,)
 
     def process(self, tup: UncertainTuple) -> None:
         if tup.timestamp is None:
@@ -1045,12 +1007,8 @@ class RollingLearnOperator(Operator):
         self._fill = 0
         self._state = learner.partial_begin(resum_interval)
 
-    def _sync_rolling_metrics(self) -> None:
-        obs = self._obs
-        if obs is None:
-            self._state.set_metrics(None, None)
-        else:
-            self._state.set_metrics(obs.rolling_resums, obs.rolling_drift)
+    def rolling_states(self) -> Iterable:
+        return (self._state,)
 
     def _slide(self, tup: UncertainTuple) -> int | None:
         """Add the observation, evict the expired one; emit fill or None."""

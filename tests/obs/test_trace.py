@@ -240,7 +240,7 @@ class TestPipelineWiring:
         pipeline = _pipeline(tracer)
         clone = pipeline.pristine()
         assert clone.tracer is None
-        assert all(op._trace is None for op in clone.operators)
+        assert all(op._observer is None for op in clone.operators)
         # The original is re-attached and still records.
         assert pipeline.tracer is tracer
         pipeline.run(_tuples())

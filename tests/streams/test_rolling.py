@@ -448,7 +448,7 @@ class TestRollingObservability:
         pipe.attach_metrics(registry, prefix="p")
         clone = pipe.pristine()
         for op in clone.operators[:-1]:
-            assert op._obs is None
+            assert op._observer is None
         assert pipe.operators[0]._stats.resums_counter is not None
         assert clone.operators[0]._stats.resums_counter is None
         assert clone.operators[2]._state.resums_counter is None
