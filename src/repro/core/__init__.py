@@ -29,6 +29,7 @@ from repro.core.analytic import (
     variance_interval,
     variance_intervals,
     distribution_accuracy,
+    moment_intervals,
     accuracy_from_moments,
     tuple_probability_interval,
     tuple_probability_intervals,
@@ -42,6 +43,7 @@ from repro.core.dfsample import (
 )
 from repro.core.bootstrap import (
     bootstrap_accuracy_info,
+    bootstrap_intervals,
     bootstrap_accuracy_batch,
     percentile_interval,
     percentile_intervals,
@@ -93,6 +95,7 @@ __all__ = [
     "variance_interval",
     "variance_intervals",
     "distribution_accuracy",
+    "moment_intervals",
     "accuracy_from_moments",
     "tuple_probability_interval",
     "tuple_probability_intervals",
@@ -102,6 +105,7 @@ __all__ = [
     "df_sample_count",
     "DfSized",
     "bootstrap_accuracy_info",
+    "bootstrap_intervals",
     "bootstrap_accuracy_batch",
     "adaptive_bootstrap_accuracy_info",
     "adaptive_bootstrap_from_values",

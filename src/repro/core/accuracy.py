@@ -235,6 +235,43 @@ class AccuracyInfo:
         """The bare per-bin confidence intervals, in bin order."""
         return tuple(b.interval for b in self.bins)
 
+    @classmethod
+    def from_bounds(
+        cls,
+        mean_lo: float,
+        mean_hi: float,
+        var_lo: float,
+        var_hi: float,
+        confidence: float,
+        sample_size: int,
+        method: str = "analytic",
+        values_used: int = 0,
+        values_dropped: int = 0,
+        draws_used: int = 0,
+        rounds: int = 0,
+        bins: tuple[BinInterval, ...] = (),
+    ) -> "AccuracyInfo":
+        """One record from its mean and variance interval bounds.
+
+        The single row builder behind the batched kernels
+        (:func:`~repro.core.analytic.accuracy_from_moments`,
+        :func:`~repro.core.bootstrap.bootstrap_accuracy_batch`) and the
+        lazy rows of :class:`~repro.streams.columnar.AccuracyColumn`, so
+        a record built from arrays is the record the per-row path builds.
+        """
+        # Positional, in field order: the cheapest way in.
+        return cls(
+            ConfidenceInterval(mean_lo, mean_hi, confidence),
+            ConfidenceInterval(var_lo, var_hi, confidence),
+            bins,
+            sample_size,
+            method,
+            values_used,
+            values_dropped,
+            draws_used,
+            rounds,
+        )
+
     def describe(self) -> str:
         """Human-readable multi-line rendering for query output."""
         lines = [

@@ -50,7 +50,7 @@ from scipy.special import ndtri
 
 from repro.core.accuracy import AccuracyInfo, BinInterval, ConfidenceInterval
 from repro.core.bootstrap import (
-    _basic_interval,
+    _basic_intervals,
     _height_bins,
     _resample_statistics,
     percentile_interval,
@@ -303,14 +303,8 @@ class IncrementalBootstrap:
                 if len(self._blocks) == 1
                 else np.concatenate(self._blocks)
             )
-            point_mean = float(used.mean())
-            point_var = (
-                max(float(used.var(ddof=1)), 0.0) if used.size > 1 else 0.0
-            )
-            mean_ci = _basic_interval(mean_ci, point_mean)
-            var_ci = _basic_interval(var_ci, point_var)
-            var_ci = ConfidenceInterval(
-                max(var_ci.low, 0.0), max(var_ci.high, 0.0), self.confidence
+            mean_ci, var_ci = _basic_intervals(
+                mean_ci, var_ci, used, self.confidence
             )
         bins: tuple[BinInterval, ...] = ()
         if self._heights:

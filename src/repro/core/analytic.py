@@ -49,6 +49,7 @@ __all__ = [
     "variance_interval",
     "variance_intervals",
     "distribution_accuracy",
+    "moment_intervals",
     "accuracy_from_moments",
     "tuple_probability_interval",
     "tuple_probability_intervals",
@@ -445,20 +446,12 @@ def distribution_accuracy(
     has the unbiased s^2 of an actual sample (the distribution's own
     ``variance()`` is a population quantity).
     """
-    _check_sample_size(n, minimum=2)
     s2 = distribution.variance() if sample_variance is None else sample_variance
-    s = float(np.sqrt(s2))
-    info_mean = mean_interval(distribution.mean(), s, n, confidence)
-    info_var = variance_interval(s2, n, confidence)
-    bins: tuple[BinInterval, ...] = ()
-    if isinstance(distribution, HistogramDistribution):
-        bins = histogram_accuracy(distribution, n, confidence)
-    return AccuracyInfo(
-        mean=info_mean,
-        variance=info_var,
-        bins=bins,
-        sample_size=n,
-        method="analytic",
+    histogram = (
+        distribution if isinstance(distribution, HistogramDistribution) else None
+    )
+    return accuracy_from_stats(
+        distribution.mean(), s2, n, confidence, histogram
     )
 
 
@@ -495,19 +488,18 @@ def tuple_probability_intervals(
     )
 
 
-def accuracy_from_moments(
+def moment_intervals(
     sample_means: "np.ndarray | Sequence[float]",
     sample_variances: "np.ndarray | Sequence[float]",
     n: "int | np.ndarray | Sequence[int]",
     confidence: float = 0.95,
-) -> tuple[AccuracyInfo, ...]:
-    """Batched Theorem 1 for non-histogram results (the stream hot path).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched Theorem 1 as arrays: the one Lemma-2 pass of the hot path.
 
-    Given per-tuple means, variances and (de facto) sample sizes, one
-    vectorized pass produces the mean and variance intervals of every
-    tuple; only the per-tuple :class:`AccuracyInfo` wrappers are built in
-    Python.  Element-wise identical to calling
-    :func:`distribution_accuracy` per tuple.
+    Returns ``(mean_lo, mean_hi, var_lo, var_hi, sizes)`` for per-tuple
+    means, variances and (de facto) sample sizes, ``sizes`` being ``n``
+    broadcast to one int64 entry per tuple.  Element-wise identical to
+    the bounds :func:`distribution_accuracy` computes per tuple.
     """
     means = np.asarray(sample_means, dtype=float).ravel()
     variances = np.asarray(sample_variances, dtype=float).ravel()
@@ -516,24 +508,38 @@ def accuracy_from_moments(
             f"means and variances must have the same length, got "
             f"{means.size} and {variances.size}"
         )
-    n_arr = np.broadcast_to(
-        np.asarray(n), means.shape
-    )
+    sizes = np.broadcast_to(np.asarray(n, dtype=np.int64), means.shape)
     stds = np.sqrt(variances)
-    mean_lo, mean_hi = mean_intervals(means, stds, n_arr, confidence)
-    var_lo, var_hi = variance_intervals(variances, n_arr, confidence)
+    mean_lo, mean_hi = mean_intervals(means, stds, sizes, confidence)
+    var_lo, var_hi = variance_intervals(variances, sizes, confidence)
+    return mean_lo, mean_hi, var_lo, var_hi, sizes
+
+
+def accuracy_from_moments(
+    sample_means: "np.ndarray | Sequence[float]",
+    sample_variances: "np.ndarray | Sequence[float]",
+    n: "int | np.ndarray | Sequence[int]",
+    confidence: float = 0.95,
+) -> tuple[AccuracyInfo, ...]:
+    """Batched Theorem 1 for non-histogram results, as records.
+
+    :func:`moment_intervals` plus one :meth:`AccuracyInfo.from_bounds`
+    per tuple.  Element-wise identical to calling
+    :func:`distribution_accuracy` per tuple.
+    """
+    mean_lo, mean_hi, var_lo, var_hi, sizes = moment_intervals(
+        sample_means, sample_variances, n, confidence
+    )
+    build = AccuracyInfo.from_bounds
     return tuple(
-        AccuracyInfo(
-            mean=ConfidenceInterval(
-                float(mean_lo[i]), float(mean_hi[i]), confidence
-            ),
-            variance=ConfidenceInterval(
-                float(var_lo[i]), float(var_hi[i]), confidence
-            ),
-            sample_size=int(n_arr[i]),
-            method="analytic",
+        build(a, b, c, d, confidence, size)
+        for a, b, c, d, size in zip(
+            mean_lo.tolist(),
+            mean_hi.tolist(),
+            var_lo.tolist(),
+            var_hi.tolist(),
+            sizes.tolist(),
         )
-        for i in range(means.size)
     )
 
 
@@ -549,9 +555,9 @@ def accuracy_from_stats(
     The rolling-learner path (``partial_add``/``partial_evict``) keeps
     the sample mean and unbiased variance incrementally and never
     materialises the observation array, so it builds accuracy from the
-    statistics directly.  Given the statistics of the same sample this
-    is identical to :func:`accuracy_from_sample` — both reuse the
-    memoized Lemma 1/2 interval kernels above.
+    statistics directly.  :func:`accuracy_from_sample` and
+    :func:`distribution_accuracy` are this function applied to the
+    statistics of a sample and of a distribution.
     """
     n = _check_sample_size(n, minimum=2)
     if sample_variance < 0:
@@ -586,18 +592,6 @@ def accuracy_from_sample(
     """
     arr = np.asarray(values, dtype=float).ravel()
     n = _check_sample_size(arr.size, minimum=2)
-    sample_mean = float(arr.mean())
-    s2 = float(arr.var(ddof=1))
-    s = float(np.sqrt(s2))
-    info_mean = mean_interval(sample_mean, s, n, confidence)
-    info_var = variance_interval(s2, n, confidence)
-    bins: tuple[BinInterval, ...] = ()
-    if histogram is not None:
-        bins = histogram_accuracy(histogram, n, confidence)
-    return AccuracyInfo(
-        mean=info_mean,
-        variance=info_var,
-        bins=bins,
-        sample_size=n,
-        method="analytic",
+    return accuracy_from_stats(
+        float(arr.mean()), float(arr.var(ddof=1)), n, confidence, histogram
     )

@@ -30,6 +30,7 @@ __all__ = [
     "percentile_interval",
     "percentile_intervals",
     "bootstrap_accuracy_info",
+    "bootstrap_intervals",
     "bootstrap_accuracy_batch",
     "classical_bootstrap_accuracy",
 ]
@@ -164,21 +165,72 @@ def _chunk_bin_heights(chunks: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / n
 
 
-def _basic_interval(
-    percentile_ci: ConfidenceInterval, point_estimate: float
-) -> ConfidenceInterval:
-    """The 'basic' (reflected) bootstrap interval 2*theta - [q_hi, q_lo].
+def _basic_intervals(
+    mean_ci: ConfidenceInterval,
+    var_ci: ConfidenceInterval,
+    used: np.ndarray,
+    confidence: float,
+) -> tuple[ConfidenceInterval, ConfidenceInterval]:
+    """The 'basic' (reflected) bootstrap intervals 2*theta - [q_hi, q_lo].
 
-    Reflecting the percentile interval around the full-sequence point
-    estimate corrects first-order bootstrap bias; offered as an
-    alternative to the paper's plain percentile interval for the
-    ablation study.
+    Reflecting the percentile intervals around the point estimates of
+    the ``used`` values corrects first-order bootstrap bias; offered as
+    an alternative to the paper's plain percentile interval for the
+    ablation study.  The variance interval is clamped at zero.
     """
-    return ConfidenceInterval(
-        2.0 * point_estimate - percentile_ci.high,
-        2.0 * point_estimate - percentile_ci.low,
-        percentile_ci.confidence,
+    mean_point = float(used.mean())
+    var_point = float(used.var(ddof=1)) if used.size > 1 else 0.0
+    return (
+        ConfidenceInterval(
+            2.0 * mean_point - mean_ci.high,
+            2.0 * mean_point - mean_ci.low,
+            confidence,
+        ),
+        ConfidenceInterval(
+            max(2.0 * var_point - var_ci.high, 0.0),
+            max(2.0 * var_point - var_ci.low, 0.0),
+            confidence,
+        ),
     )
+
+
+def _chunking(
+    m: int, n: int, interval: str, rows: int | None = None
+) -> tuple[int, int, int]:
+    """``(r, values_used, values_dropped)`` for chunking ``m`` values into
+    resamples of ``n``, after validating the arguments; warns when more
+    than ``TRUNCATION_WARN_FRACTION`` of the values are dropped.
+    ``rows`` is the batch height, ``None`` for one output variable."""
+    if interval not in ("percentile", "basic"):
+        raise AccuracyError(
+            f"interval must be 'percentile' or 'basic', got {interval!r}"
+        )
+    if n < 1:
+        raise AccuracyError(f"d.f. sample size must be >= 1, got {n}")
+    r = m // n
+    if r < 2:
+        raise AccuracyError(
+            f"need at least 2 resamples; got m={m} values for n={n} "
+            f"(m must be >= 2n — callers drawing Monte-Carlo values must "
+            f"request mc_samples >= 2n)"
+        )
+    values_used = r * n
+    values_dropped = m - values_used
+    if values_dropped > TRUNCATION_WARN_FRACTION * m:
+        where = (
+            f"(m mod n with n={n})"
+            if rows is None
+            else f"per row (m mod n with n={n}, {rows} rows)"
+        )
+        warnings.warn(
+            f"bootstrap chunking dropped {values_dropped} of {m} "
+            f"Monte-Carlo values {where}; draw a multiple of n values to "
+            f"use them all",
+            # Blame the public caller: one frame up from the scalar
+            # kernel, two from the batch kernels (via _batch_intervals).
+            stacklevel=3 if rows is None else 4,
+        )
+    return r, values_used, values_dropped
 
 
 def bootstrap_accuracy_info(
@@ -207,46 +259,19 @@ def bootstrap_accuracy_info(
         ``"basic"`` — the reflected/basic bootstrap interval for the
         mean and variance (bin heights always use percentiles).
     """
-    if interval not in ("percentile", "basic"):
-        raise AccuracyError(
-            f"interval must be 'percentile' or 'basic', got {interval!r}"
-        )
     arr = np.asarray(values, dtype=float).ravel()
-    if n < 1:
-        raise AccuracyError(f"d.f. sample size must be >= 1, got {n}")
-    r = arr.size // n
-    if r < 2:
-        raise AccuracyError(
-            f"need at least 2 resamples; got m={arr.size} values for n={n} "
-            f"(m must be >= 2n — callers drawing Monte-Carlo values must "
-            f"request mc_samples >= 2n)"
-        )
-    values_used = r * n
-    values_dropped = arr.size - values_used
-    if values_dropped > TRUNCATION_WARN_FRACTION * arr.size:
-        warnings.warn(
-            f"bootstrap chunking dropped {values_dropped} of {arr.size} "
-            f"Monte-Carlo values (m mod n with n={n}); draw a multiple of "
-            f"n values to use them all",
-            stacklevel=2,
-        )
+    r, values_used, values_dropped = _chunking(arr.size, n, interval)
     chunks = arr[:values_used].reshape(r, n)
     edges_arr = None if edges is None else np.asarray(edges, dtype=float)
     means, variances, heights = _resample_statistics(chunks, edges_arr)
-
     mean_ci = percentile_interval(means, confidence)
     var_ci = percentile_interval(variances, confidence)
     if interval == "basic":
-        used = arr[: r * n]
-        mean_ci = _basic_interval(mean_ci, float(used.mean()))
-        var_point = float(used.var(ddof=1)) if used.size > 1 else 0.0
-        var_ci = _basic_interval(var_ci, var_point)
-        var_ci = ConfidenceInterval(
-            max(var_ci.low, 0.0), max(var_ci.high, 0.0), confidence
+        mean_ci, var_ci = _basic_intervals(
+            mean_ci, var_ci, arr[:values_used], confidence
         )
     bins: tuple[BinInterval, ...] = ()
     if heights is not None:
-        assert edges_arr is not None
         bins = _height_bins(heights, edges_arr, confidence)
     return AccuracyInfo(
         mean=mean_ci,
@@ -278,6 +303,79 @@ def _height_bins(
     )
 
 
+def _batch_intervals(
+    value_matrix: np.ndarray,
+    n: int,
+    confidence: float,
+    edges: Sequence[float] | None,
+    interval: str,
+) -> tuple:
+    """Interval arrays (and bin heights) of a ``(t, m)`` value matrix.
+
+    Shared by :func:`bootstrap_intervals` and
+    :func:`bootstrap_accuracy_batch`; see the latter for the contract.
+    """
+    matrix = np.asarray(value_matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise AccuracyError(
+            f"value matrix must be 2-D (tuples, values), got shape "
+            f"{matrix.shape}"
+        )
+    t, m = matrix.shape
+    r, values_used, values_dropped = _chunking(m, n, interval, t)
+    chunks = matrix[:, :values_used].reshape(t * r, n)
+    edges_arr = None if edges is None else np.asarray(edges, dtype=float)
+    means, variances, heights = _resample_statistics(chunks, edges_arr)
+    # Statistic matrices with resamples on axis 0 and tuples on axis 1.
+    mean_lo, mean_hi = percentile_intervals(
+        means.reshape(t, r).T, confidence
+    )
+    var_lo, var_hi = percentile_intervals(
+        variances.reshape(t, r).T, confidence
+    )
+    if interval == "basic":
+        # Per-row point estimates, exactly as bootstrap_accuracy_info
+        # takes them; the reflection itself is element-wise.
+        mean_point = np.empty(t)
+        var_point = np.zeros(t)
+        for i in range(t):
+            used = matrix[i, :values_used]
+            mean_point[i] = float(used.mean())
+            if used.size > 1:
+                var_point[i] = float(used.var(ddof=1))
+        mean_lo, mean_hi = (
+            2.0 * mean_point - mean_hi, 2.0 * mean_point - mean_lo
+        )
+        var_lo, var_hi = (
+            np.maximum(2.0 * var_point - var_hi, 0.0),
+            np.maximum(2.0 * var_point - var_lo, 0.0),
+        )
+    stacked = None
+    if heights is not None:
+        # (t*r, b) tuple-major rows -> per-row (r, b) height matrices.
+        stacked = heights.reshape(t, r, -1)
+    return (
+        mean_lo, mean_hi, var_lo, var_hi, values_used, values_dropped,
+        edges_arr, stacked,
+    )
+
+
+def bootstrap_intervals(
+    value_matrix: np.ndarray,
+    n: int,
+    confidence: float = 0.95,
+    interval: str = "percentile",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """BOOTSTRAP-ACCURACY-INFO for a batch, as interval arrays.
+
+    Returns ``(mean_lo, mean_hi, var_lo, var_hi, values_used,
+    values_dropped)``: row ``i`` of the arrays holds the bounds
+    :func:`bootstrap_accuracy_batch` puts in record ``i`` (no bins), and
+    the two counts are shared by every row.
+    """
+    return _batch_intervals(value_matrix, n, confidence, None, interval)[:6]
+
+
 def bootstrap_accuracy_batch(
     value_matrix: np.ndarray,
     n: int,
@@ -297,84 +395,30 @@ def bootstrap_accuracy_batch(
     when chunking drops more than ``TRUNCATION_WARN_FRACTION`` of each
     row's values (one warning covers the whole batch).
     """
-    if interval not in ("percentile", "basic"):
-        raise AccuracyError(
-            f"interval must be 'percentile' or 'basic', got {interval!r}"
+    (
+        mean_lo, mean_hi, var_lo, var_hi, values_used, values_dropped,
+        edges_arr, heights,
+    ) = _batch_intervals(value_matrix, n, confidence, edges, interval)
+    m = values_used + values_dropped
+    build = AccuracyInfo.from_bounds
+    return tuple(
+        build(
+            a, b, c, d, confidence, n, "bootstrap",
+            values_used, values_dropped, m, 1,
+            bins=(
+                () if heights is None
+                else _height_bins(heights[i], edges_arr, confidence)
+            ),
         )
-    matrix = np.asarray(value_matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise AccuracyError(
-            f"value matrix must be 2-D (tuples, values), got shape "
-            f"{matrix.shape}"
-        )
-    if n < 1:
-        raise AccuracyError(f"d.f. sample size must be >= 1, got {n}")
-    t, m = matrix.shape
-    r = m // n
-    if r < 2:
-        raise AccuracyError(
-            f"need at least 2 resamples; got m={m} values for n={n} "
-            f"(m must be >= 2n — callers drawing Monte-Carlo values must "
-            f"request mc_samples >= 2n)"
-        )
-    values_used = r * n
-    values_dropped = m - values_used
-    if values_dropped > TRUNCATION_WARN_FRACTION * m:
-        warnings.warn(
-            f"bootstrap chunking dropped {values_dropped} of {m} "
-            f"Monte-Carlo values per row (m mod n with n={n}, "
-            f"{t} rows); draw a multiple of n values to use them all",
-            stacklevel=2,
-        )
-    chunks = matrix[:, :values_used].reshape(t * r, n)
-    edges_arr = None if edges is None else np.asarray(edges, dtype=float)
-    means, variances, heights = _resample_statistics(chunks, edges_arr)
-    # Statistic matrices with resamples on axis 0 and tuples on axis 1.
-    mean_lo, mean_hi = percentile_intervals(
-        means.reshape(t, r).T, confidence
-    )
-    var_lo, var_hi = percentile_intervals(
-        variances.reshape(t, r).T, confidence
-    )
-    per_row_bins: list[tuple[BinInterval, ...]] | None = None
-    if heights is not None:
-        assert edges_arr is not None
-        # (t*r, b) tuple-major rows -> per-row (r, b) height matrices.
-        stacked = heights.reshape(t, r, -1)
-        per_row_bins = [
-            _height_bins(stacked[i], edges_arr, confidence)
-            for i in range(t)
-        ]
-    results = []
-    for i in range(t):
-        mean_ci = ConfidenceInterval(
-            float(mean_lo[i]), float(mean_hi[i]), confidence
-        )
-        var_ci = ConfidenceInterval(
-            float(var_lo[i]), float(var_hi[i]), confidence
-        )
-        if interval == "basic":
-            used = matrix[i, :values_used]
-            mean_ci = _basic_interval(mean_ci, float(used.mean()))
-            var_point = float(used.var(ddof=1)) if used.size > 1 else 0.0
-            var_ci = _basic_interval(var_ci, var_point)
-            var_ci = ConfidenceInterval(
-                max(var_ci.low, 0.0), max(var_ci.high, 0.0), confidence
-            )
-        results.append(
-            AccuracyInfo(
-                mean=mean_ci,
-                variance=var_ci,
-                bins=per_row_bins[i] if per_row_bins is not None else (),
-                sample_size=n,
-                method="bootstrap",
-                values_used=values_used,
-                values_dropped=values_dropped,
-                draws_used=m,
-                rounds=1,
+        for i, (a, b, c, d) in enumerate(
+            zip(
+                mean_lo.tolist(),
+                mean_hi.tolist(),
+                var_lo.tolist(),
+                var_hi.tolist(),
             )
         )
-    return tuple(results)
+    )
 
 
 def classical_bootstrap_accuracy(

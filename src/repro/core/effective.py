@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
-from repro.core.analytic import mean_interval, variance_interval
+from repro.core.analytic import accuracy_from_stats
 from repro.errors import AccuracyError
 
 __all__ = [
@@ -104,11 +104,4 @@ def weighted_accuracy(
     """
     ws = weighted_stats(values, weights)
     n = max(int(np.floor(ws.n_eff)), 2)
-    std = float(np.sqrt(ws.variance))
-    return AccuracyInfo(
-        mean=mean_interval(ws.mean, std, n, confidence),
-        variance=variance_interval(ws.variance, n, confidence),
-        bins=(),
-        sample_size=n,
-        method="analytic",
-    )
+    return accuracy_from_stats(ws.mean, ws.variance, n, confidence)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.accuracy import AccuracyInfo, ConfidenceInterval
+from repro.core.accuracy import AccuracyInfo
 from repro.core.adaptive import (
     DEFAULT_GROWTH,
     DEFAULT_INITIAL_RESAMPLES,
@@ -28,15 +28,14 @@ from repro.core.adaptive import (
     resample_schedule,
     width_calibration,
 )
-from repro.core.analytic import accuracy_from_moments, distribution_accuracy
+from repro.core.analytic import distribution_accuracy, moment_intervals
 from repro.core.bootstrap import (
     _resample_statistics,
-    bootstrap_accuracy_batch,
     bootstrap_accuracy_info,
+    bootstrap_intervals,
     percentile_intervals,
 )
 from repro.core.coupled import coupled_tests
-from repro.core.dfsample import DfSized
 from repro.core.predicates import FieldStats, MdTest, MTest, PTest
 from repro.distributions.gaussian import GaussianDistribution
 from repro.experiments.harness import render_table
@@ -46,11 +45,12 @@ from repro.obs.provenance import lineage_from_operands
 from repro.obs.timeseries import TelemetryRecorder
 from repro.obs.trace import Tracer
 from repro.streams.columnar import (
-    EXACT_SIZE,
+    AccuracyColumn,
     ArrayColumn,
     ColumnarBatch,
     GaussianDfColumn,
     ObjectColumn,
+    gaussian_column_of,
 )
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
@@ -125,64 +125,32 @@ class _LearnGaussian(Operator):
     def process(self, tup: UncertainTuple) -> None:
         points = tup.value(self.points_attribute)
         fitted = self._learner.learn(points)  # type: ignore[arg-type]
-        attributes = dict(tup.attributes)
-        attributes[self.output] = fitted.as_dfsized()
-        self.emit(tup.with_attributes(attributes))
+        self.emit(tup.with_value(self.output, fitted.as_dfsized()))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # All per-item point vectors have the same length, so the whole
-        # batch learns from one (batch, points) matrix in two NumPy
-        # reductions instead of two per tuple.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.column(self.points_attribute)
-            if (
-                isinstance(column, ArrayColumn)
-                and column.matrix.shape[1] >= 2
-            ):
-                # The raw points already sit in one (batch, k) matrix —
-                # learn straight off the columns, emit columns.
-                matrix = column.matrix
-                mus = matrix.mean(axis=1)
-                sigma2s = matrix.var(axis=1, ddof=1)
-                if not (
-                    np.isfinite(mus).all() and np.isfinite(sigma2s).all()
-                ):
-                    for i in range(len(mus)):  # canonical per-row error
-                        GaussianDistribution(
-                            float(mus[i]), float(sigma2s[i])
-                        )
-                self.emit_many(
-                    tuples.with_column(
-                        self.output,
-                        GaussianDfColumn(
-                            mus,
-                            sigma2s,
-                            np.full(
-                                len(mus), matrix.shape[1], dtype=np.int64
-                            ),
-                        ),
-                    )
-                )
-                return
-        points = [tup.value(self.points_attribute) for tup in tuples]
-        try:
-            matrix = np.asarray(points, dtype=float)
-        except ValueError:
-            matrix = None
-        if matrix is None or matrix.ndim != 2 or matrix.shape[1] < 2:
-            super().receive_many(tuples)
+        # The raw points of a columnar batch sit in one (batch, k)
+        # matrix: learn every row in two NumPy reductions, emit columns.
+        # Anything else learns per tuple.
+        column = (
+            tuples.column(self.points_attribute)
+            if isinstance(tuples, ColumnarBatch)
+            else None
+        )
+        if not isinstance(column, ArrayColumn) or column.matrix.shape[1] < 2:
+            super().process_many(tuples)
             return
+        matrix = column.matrix
         mus = matrix.mean(axis=1)
         sigma2s = matrix.var(axis=1, ddof=1)
-        n = matrix.shape[1]
-        out = []
-        for i, tup in enumerate(tuples):
-            attributes = dict(tup.attributes)
-            attributes[self.output] = DfSized(
-                GaussianDistribution(float(mus[i]), float(sigma2s[i])), n
+        if not (np.isfinite(mus).all() and np.isfinite(sigma2s).all()):
+            for i in range(len(mus)):  # canonical per-row error
+                GaussianDistribution(float(mus[i]), float(sigma2s[i]))
+        sizes = np.full(len(mus), matrix.shape[1], dtype=np.int64)
+        self.emit_many(
+            tuples.with_column(
+                self.output, GaussianDfColumn(mus, sigma2s, sizes)
             )
-            out.append(tup.with_attributes(attributes))
-        self.emit_many(out)
+        )
 
 
 class _AnalyticAccuracy(Operator):
@@ -198,58 +166,29 @@ class _AnalyticAccuracy(Operator):
     def process(self, tup: UncertainTuple) -> None:
         field = tup.dfsized(self.attribute)
         if field.sample_size is not None and field.sample_size >= 2:
-            attributes = dict(tup.attributes)
-            attributes["accuracy"] = distribution_accuracy(
-                field.distribution, field.sample_size, self.confidence
+            tup = tup.with_value(
+                "accuracy",
+                distribution_accuracy(
+                    field.distribution, field.sample_size, self.confidence
+                ),
             )
-            tup = tup.with_attributes(attributes)
         self.emit(tup)
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # Vectorized Lemma 2: one mean_intervals/variance_intervals pass
-        # over the whole batch instead of two interval solves per tuple.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if (
-                column is not None
-                and len(column)
-                and bool((column.sizes >= 2).all())
-            ):
-                # Every row eligible: Theorem 1 straight off the
-                # (mu, sigma2, n) columns, accuracy as an object column.
-                infos = accuracy_from_moments(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                    self.confidence,
-                )
-                self.emit_many(
-                    tuples.with_column(
-                        "accuracy", ObjectColumn(list(infos))
-                    )
-                )
-                return
-        fields = [tup.dfsized(self.attribute) for tup in tuples]
-        eligible = [
-            i
-            for i, f in enumerate(fields)
-            if f.sample_size is not None and f.sample_size >= 2
-        ]
-        if not eligible:
-            self.emit_many(list(tuples))
+        # Vectorized Theorem 1 when every row of a columnar batch is
+        # eligible: one Lemma-2 pass over the (mu, sigma2, n) columns,
+        # accuracy as interval arrays.  Anything else goes per tuple.
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None or not len(column) or (column.sizes < 2).any():
+            super().process_many(tuples)
             return
-        means = [fields[i].distribution.mean() for i in eligible]
-        variances = [fields[i].distribution.variance() for i in eligible]
-        sizes = [fields[i].sample_size for i in eligible]
-        infos = accuracy_from_moments(
-            means, variances, sizes, self.confidence
+        mean_lo, mean_hi, var_lo, var_hi, sizes = moment_intervals(
+            column.mu, column.sigma2, column.sizes, self.confidence
         )
-        out = list(tuples)
-        for info, i in zip(infos, eligible):
-            attributes = dict(out[i].attributes)
-            attributes["accuracy"] = info
-            out[i] = out[i].with_attributes(attributes)
-        self.emit_many(out)
+        accuracy = AccuracyColumn.from_bounds(
+            mean_lo, mean_hi, var_lo, var_hi, sizes, self.confidence
+        )
+        self.emit_many(tuples.with_column("accuracy", accuracy))
 
     def trace_lineage(self, tup: UncertainTuple) -> dict[str, object]:
         # Theorem 1 over the window average: the de facto size of the
@@ -331,7 +270,6 @@ class _BootstrapAccuracy(Operator):
         field = tup.dfsized(self.attribute)
         if field.sample_size is not None and field.sample_size >= 2:
             n = field.sample_size
-            attributes = dict(tup.attributes)
             if self.adaptive:
                 dist = field.distribution
                 key = None
@@ -356,15 +294,12 @@ class _BootstrapAccuracy(Operator):
                     )
                     self._cache_key = key
                     self._cache_info = info
-                attributes["accuracy"] = info
             else:
                 values = field.distribution.sample(
                     self._rng, self.resamples * n
                 )
-                attributes["accuracy"] = bootstrap_accuracy_info(
-                    values, n, self.confidence
-                )
-            tup = tup.with_attributes(attributes)
+                info = bootstrap_accuracy_info(values, n, self.confidence)
+            tup = tup.with_value("accuracy", info)
         self.emit(tup)
 
     def _adaptive_batch(
@@ -450,19 +385,11 @@ class _BootstrapAccuracy(Operator):
                     )
             for j in np.flatnonzero(done):
                 row = int(active[j])
-                results[row] = AccuracyInfo(
-                    mean=ConfidenceInterval(
-                        float(mean_lo[j]), float(mean_hi[j]), self.confidence
-                    ),
-                    variance=ConfidenceInterval(
-                        float(var_lo[j]), float(var_hi[j]), self.confidence
-                    ),
-                    sample_size=n,
-                    method="bootstrap",
-                    values_used=r_total * n,
-                    values_dropped=0,
-                    draws_used=r_total * n,
-                    rounds=rounds,
+                results[row] = AccuracyInfo.from_bounds(
+                    float(mean_lo[j]), float(mean_hi[j]),
+                    float(var_lo[j]), float(var_hi[j]),
+                    self.confidence, n, "bootstrap",
+                    r_total * n, 0, r_total * n, rounds,
                 )
             keep = ~done
             active = active[keep]
@@ -476,98 +403,67 @@ class _BootstrapAccuracy(Operator):
             self._cache_info = results[-1]
         return results  # type: ignore[return-value]
 
-    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # Vectorized BOOTSTRAP-ACCURACY-INFO: sample every tuple's output
-        # variable into one (batch, m) matrix, then chunk statistics and
-        # percentile intervals for the whole batch in a single pass.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if (
-                column is not None
-                and len(column)
-                and bool((column.sizes >= 2).all())
-            ):
-                # Same size-grouping and RNG draw order as the tuple
-                # path (one broadcast normal per group), but the moments
-                # come straight off the columns.
-                sizes = column.sizes.tolist()
-                by_n: dict[int, list[int]] = {}
-                for i, n in enumerate(sizes):
-                    by_n.setdefault(n, []).append(i)
-                infos_out: list[object] = [None] * len(sizes)
-                for n, indices in by_n.items():
-                    idx = np.asarray(indices, dtype=np.intp)
-                    mus = column.mu[idx]
-                    if self.adaptive:
-                        infos = self._adaptive_batch(
-                            mus, column.sigma2[idx], n
-                        )
-                    else:
-                        m = self.resamples * n
-                        stds = np.sqrt(column.sigma2[idx])
-                        matrix = self._rng.normal(
-                            mus[:, None], stds[:, None], (len(indices), m)
-                        )
-                        infos = bootstrap_accuracy_batch(
-                            matrix, n, self.confidence
-                        )
-                    for info, i in zip(infos, indices):
-                        infos_out[i] = info
-                self.emit_many(
-                    tuples.with_column("accuracy", ObjectColumn(infos_out))
-                )
-                return
-        fields = [tup.dfsized(self.attribute) for tup in tuples]
-        out = list(tuples)
-        # Group eligible tuples by sample size so each group shares one
-        # (batch, m) kernel call (the window workload has a constant n).
-        by_n: dict[int, list[int]] = {}
-        for i, f in enumerate(fields):
-            if f.sample_size is not None and f.sample_size >= 2:
-                by_n.setdefault(f.sample_size, []).append(i)
-        for n, indices in by_n.items():
-            dists = [fields[i].distribution for i in indices]
-            all_gaussian = all(
-                isinstance(d, GaussianDistribution) for d in dists
+    def _fixed_column(
+        self,
+        column: GaussianDfColumn,
+        groups: list[tuple[int, np.ndarray]],
+    ) -> AccuracyColumn:
+        """Fixed-budget bootstrap of each size group into one column.
+
+        Every batch yields the same column kind whatever its sizes, so
+        shards emit one schema and their outputs merge as columns.
+        """
+        out = None
+        for n, idx in groups:
+            m = self.resamples * n
+            matrix = self._rng.normal(
+                column.mu[idx][:, None],
+                np.sqrt(column.sigma2[idx])[:, None],
+                (idx.size, m),
             )
-            if self.adaptive and all_gaussian:
+            mean_lo, mean_hi, var_lo, var_hi, used, dropped = (
+                bootstrap_intervals(matrix, n, self.confidence)
+            )
+            part = AccuracyColumn.from_bounds(
+                mean_lo, mean_hi, var_lo, var_hi, n, self.confidence,
+                "bootstrap", used, dropped, m, 1,
+            )
+            if len(groups) == 1:
+                return part
+            if out is None:
+                out = AccuracyColumn.allocate(len(column), part)
+            part.scatter(out, idx)
+        return out
+
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        # Vectorized BOOTSTRAP-ACCURACY-INFO when every row of a columnar
+        # batch is eligible: rows are grouped by sample size, each group
+        # draws one broadcast (rows, m) normal matrix and gets its chunk
+        # statistics and percentile intervals in one pass.  Anything
+        # else goes per tuple.
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None or not len(column) or (column.sizes < 2).any():
+            super().process_many(tuples)
+            return
+        by_n: dict[int, list[int]] = {}
+        for i, n in enumerate(column.sizes.tolist()):
+            by_n.setdefault(n, []).append(i)
+        groups = [
+            (n, np.asarray(indices, dtype=np.intp))
+            for n, indices in by_n.items()
+        ]
+        if self.adaptive:
+            infos_out: list[object] = [None] * len(column)
+            for n, idx in groups:
                 infos = self._adaptive_batch(
-                    np.array([d.mu for d in dists]),
-                    np.array([d.sigma2 for d in dists]),
-                    n,
+                    column.mu[idx], column.sigma2[idx], n
                 )
-            elif self.adaptive:
-                infos = [
-                    adaptive_bootstrap_accuracy_info(
-                        lambda count, d=d: d.sample(self._rng, count),
-                        n,
-                        self.confidence,
-                        target_ci_width=self.target_ci_width,
-                        target_relative_width=self.target_relative_width,
-                        max_resamples=self.resamples,
-                        initial_resamples=self._start_resamples(),
-                        growth=self.growth,
-                    )
-                    for d in dists
-                ]
-            else:
-                m = self.resamples * n
-                if all_gaussian:
-                    mus = np.array([d.mu for d in dists])
-                    stds = np.sqrt([d.sigma2 for d in dists])
-                    matrix = self._rng.normal(
-                        mus[:, None], stds[:, None], (len(dists), m)
-                    )
-                else:
-                    matrix = np.stack(
-                        [d.sample(self._rng, m) for d in dists]
-                    )
-                infos = bootstrap_accuracy_batch(matrix, n, self.confidence)
-            for info, i in zip(infos, indices):
-                attributes = dict(out[i].attributes)
-                attributes["accuracy"] = info
-                out[i] = out[i].with_attributes(attributes)
-        self.emit_many(out)
+                for info, i in zip(infos, idx.tolist()):
+                    infos_out[i] = info
+            accuracy: object = ObjectColumn(infos_out)
+        else:
+            accuracy = self._fixed_column(column, groups)
+        self.emit_many(tuples.with_column("accuracy", accuracy))
 
     def trace_lineage(self, tup: UncertainTuple) -> dict[str, object]:
         lineage = lineage_from_operands(
@@ -755,24 +651,17 @@ class _CoupledMTest(Operator):
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         # Columnar: run the coupled test per row straight off the
         # (mu, sigma2, n) columns; the batch passes through untouched.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                constant = self.constant
-                for mu, sigma2, n in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
-                    coupled_tests(
-                        MTest(stats, ">", constant, 0.05), 0.05, 0.05
-                    )
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None:
+            super().process_many(tuples)
+            return
+        for mu, sigma2, n in zip(*column.moments()):
+            if n is not None:
+                stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
+                coupled_tests(
+                    MTest(stats, ">", self.constant, 0.05), 0.05, 0.05
+                )
+        self.emit_many(tuples)
 
 
 class _CoupledMdTest(Operator):
@@ -797,28 +686,22 @@ class _CoupledMdTest(Operator):
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         # Columnar: same per-row test chain (each row's stats become the
         # next row's "previous"), reading moments off the columns.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                previous = self._previous
-                for mu, sigma2, n in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
-                    if previous is not None:
-                        coupled_tests(
-                            MdTest(stats, previous, ">", 0.0, 0.05),
-                            0.05, 0.05,
-                        )
-                    previous = stats
-                self._previous = previous
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None:
+            super().process_many(tuples)
+            return
+        previous = self._previous
+        for mu, sigma2, n in zip(*column.moments()):
+            if n is None:
+                continue
+            stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
+            if previous is not None:
+                coupled_tests(
+                    MdTest(stats, previous, ">", 0.0, 0.05), 0.05, 0.05
+                )
+            previous = stats
+        self._previous = previous
+        self.emit_many(tuples)
 
 
 class _CoupledPTest(Operator):
@@ -844,26 +727,19 @@ class _CoupledPTest(Operator):
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         # Columnar: per-row pTest off the columns; batch passes through.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                constant, tau = self.constant, self.tau
-                for mu, sigma2, n in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    p_hat = GaussianDistribution(
-                        mu, sigma2
-                    ).prob_greater(constant)
-                    coupled_tests(
-                        PTest(p_hat, n, tau, ">", 0.05), 0.05, 0.05
-                    )
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None:
+            super().process_many(tuples)
+            return
+        for mu, sigma2, n in zip(*column.moments()):
+            if n is not None:
+                p_hat = GaussianDistribution(mu, sigma2).prob_greater(
+                    self.constant
+                )
+                coupled_tests(
+                    PTest(p_hat, n, self.tau, ">", 0.05), 0.05, 0.05
+                )
+        self.emit_many(tuples)
 
 
 def run_fig5f(

@@ -230,6 +230,27 @@ class OperatorMetrics:
             self.unsure.inc()
         self.sample_sizes.observe(size)
 
+    def observe_accuracy_column(self, column) -> None:
+        """:meth:`observe_accuracy` for every row of an accuracy column.
+
+        Reads the interval arrays instead of building one record per
+        row, row by row in the same order, so the registry ends exactly
+        as the per-row path leaves it.  Column rows carry no synopsis
+        error.
+        """
+        for width, size, draws in zip(
+            (column.mean_hi - column.mean_lo).tolist(),
+            column.sample_size.tolist(),
+            column.draws_used.tolist(),
+        ):
+            if draws > 0:
+                self.draws_used.observe(draws)
+            if math.isfinite(width):
+                self.interval_widths.observe(width)
+            else:
+                self.unsure.inc()
+            self.sample_sizes.observe(size)
+
 
 class OperatorObserver(OperatorMetrics):
     """One operator's observability handle: metrics, spans, provenance.
@@ -303,9 +324,19 @@ class OperatorObserver(OperatorMetrics):
         """Count (and record the accuracy of) tuples ``operator`` emits."""
         self.tuples_out.inc(len(tuples))
         if self.interval_widths is not None:
-            observe = self.observe_accuracy
-            for tup in tuples:
-                observe(tup)
+            # Duck-typed: a ColumnarBatch whose attribute is an
+            # AccuracyColumn (the streams package imports this module).
+            column = (
+                tuples.column(self.accuracy_attribute)
+                if hasattr(tuples, "column")
+                else None
+            )
+            if getattr(column, "kind", None) == "accuracy":
+                self.observe_accuracy_column(column)
+            else:
+                observe = self.observe_accuracy
+                for tup in tuples:
+                    observe(tup)
         if self.provenance is not None:
             record = self.provenance.record
             for tup in tuples:

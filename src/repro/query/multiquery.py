@@ -312,23 +312,23 @@ class _PlanGroup:
         # analytic (or no) accuracy never touch an RNG, and their
         # accuracy math has an exact vectorized twin.
         self.star = compiled.star
+        plain = not compiled.star and all(
+            isinstance(expr, Column) for expr, _alias in compiled.select_items
+        )
         self.columnar_ok = config.accuracy_method in (
             "analytic",
             "none",
-        ) and (
-            compiled.star
-            or all(
-                isinstance(expr, Column)
-                for expr, _alias in compiled.select_items
-            )
-        )
+        ) and (compiled.star or plain)
+        # (alias, column) pairs of a projection of plain columns; None
+        # for SELECT * and for computed items (``delay * 2 AS d2``),
+        # which only the per-tuple executor evaluates.
         self.select_cols: "tuple[tuple[str, str], ...] | None" = (
-            None
-            if compiled.star
-            else tuple(
+            tuple(
                 (alias, expr.name)
                 for expr, alias in compiled.select_items
             )
+            if plain
+            else None
         )
 
 

@@ -14,6 +14,9 @@ tuples as NumPy columns instead:
   size;
 * equal-length 1-D ``float64`` arrays (raw per-item data points) become
   one ``(batch, k)`` matrix;
+* bin-free accuracy records emitted by the batched accuracy stages
+  travel as an :class:`AccuracyColumn` of interval-bound arrays, built
+  into records only when a row is read;
 * anything else falls back to a narrow *object column* (a plain list)
   for truly opaque payloads.
 
@@ -46,6 +49,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.accuracy import AccuracyInfo
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import StreamError
@@ -59,6 +63,7 @@ __all__ = [
     "GaussianDfColumn",
     "ArrayColumn",
     "ObjectColumn",
+    "AccuracyColumn",
     "EXACT_SIZE",
     "as_columnar",
 ]
@@ -76,17 +81,101 @@ def _as_f8(values: Sequence[float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-class FloatColumn:
+class _ArrayColumn:
+    """The column protocol for columns backed by equal-length arrays.
+
+    A subclass names its arrays in ``_FIELDS`` (row ``i`` is entry ``i``
+    of each) and may carry picklable metadata (:meth:`_meta`); slicing,
+    transport and merging are then the same array operation applied to
+    every field.  Two columns merge only when their metadata and row
+    shapes agree.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _meta(self) -> object:
+        return None
+
+    @classmethod
+    def _build(cls, meta: object, arrays: list[np.ndarray]):
+        return cls(*arrays)
+
+    def arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self._FIELDS]
+
+    def _like(self, arrays: list[np.ndarray]):
+        return self._build(self._meta(), arrays)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._FIELDS[0]))
+
+    def take(self, indices: np.ndarray):
+        return self._like([x[indices] for x in self.arrays()])
+
+    def slice(self, a: int, b: int):
+        return self._like([x[a:b] for x in self.arrays()])
+
+    def export(self) -> tuple[object, list[np.ndarray], object]:
+        return self._meta(), self.arrays(), None
+
+    @classmethod
+    def restore(cls, meta: object, arrays: list[np.ndarray], objects: object):
+        return cls._build(meta, arrays)
+
+    def _check_mergeable(self, other: "_ArrayColumn") -> None:
+        if self._meta() != other._meta() or any(
+            x.shape[1:] != y.shape[1:]
+            for x, y in zip(self.arrays(), other.arrays())
+        ):
+            raise StreamError(
+                f"cannot merge {self.kind} columns of different metadata "
+                f"or row shapes: {self._meta()} vs {other._meta()}"
+            )
+
+    @classmethod
+    def concat(cls, parts: list):
+        first = parts[0]
+        for part in parts[1:]:
+            first._check_mergeable(part)
+        return first._like(
+            [
+                np.concatenate(blocks)
+                for blocks in zip(*(p.arrays() for p in parts))
+            ]
+        )
+
+    @classmethod
+    def allocate(cls, total: int, template: "_ArrayColumn"):
+        return template._like(
+            [
+                np.empty((total,) + x.shape[1:], dtype=x.dtype)
+                for x in template.arrays()
+            ]
+        )
+
+    def scatter(self, target: "_ArrayColumn", indices: np.ndarray) -> None:
+        target._check_mergeable(self)
+        for source, dest in zip(self.arrays(), target.arrays()):
+            dest[indices] = source
+
+    def equal(self, other: "_ArrayColumn") -> bool:
+        # Bitwise, so NaN == NaN and the round-trip property is exact.
+        return self._meta() == other._meta() and all(
+            x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in zip(self.arrays(), other.arrays())
+        )
+
+
+class FloatColumn(_ArrayColumn):
     """A column of Python ``float`` values, stored as one f8 array."""
 
     kind = "f8"
-    __slots__ = ("data",)
+    _FIELDS = ("data",)
+    __slots__ = _FIELDS
 
     def __init__(self, data: np.ndarray) -> None:
         self.data = data
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def get(self, i: int) -> float:
         return float(self.data[i])
@@ -95,49 +184,16 @@ class FloatColumn:
         """Materialized Python values, one per row."""
         return self.data.tolist()
 
-    def take(self, indices: np.ndarray) -> "FloatColumn":
-        return FloatColumn(self.data[indices])
 
-    def slice(self, a: int, b: int) -> "FloatColumn":
-        return FloatColumn(self.data[a:b])
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.data], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return FloatColumn(arrays[0])
-
-    @staticmethod
-    def concat(parts: "list[FloatColumn]") -> "FloatColumn":
-        return FloatColumn(np.concatenate([p.data for p in parts]))
-
-    @staticmethod
-    def allocate(total: int, template: "FloatColumn") -> "FloatColumn":
-        return FloatColumn(np.empty(total, dtype=np.float64))
-
-    def scatter(self, target: "FloatColumn", indices: np.ndarray) -> None:
-        target.data[indices] = self.data
-
-    def equal(self, other: "FloatColumn") -> bool:
-        # Bitwise, so NaN == NaN and the round-trip property is exact.
-        return (
-            self.data.shape == other.data.shape
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
-
-class IntColumn:
+class IntColumn(_ArrayColumn):
     """A column of Python ``int`` values (int64 range), as one i8 array."""
 
     kind = "i8"
-    __slots__ = ("data",)
+    _FIELDS = ("data",)
+    __slots__ = _FIELDS
 
     def __init__(self, data: np.ndarray) -> None:
         self.data = data
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def get(self, i: int) -> int:
         return int(self.data[i])
@@ -145,38 +201,8 @@ class IntColumn:
     def values(self) -> list:
         return self.data.tolist()
 
-    def take(self, indices: np.ndarray) -> "IntColumn":
-        return IntColumn(self.data[indices])
 
-    def slice(self, a: int, b: int) -> "IntColumn":
-        return IntColumn(self.data[a:b])
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.data], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return IntColumn(arrays[0])
-
-    @staticmethod
-    def concat(parts: "list[IntColumn]") -> "IntColumn":
-        return IntColumn(np.concatenate([p.data for p in parts]))
-
-    @staticmethod
-    def allocate(total: int, template: "IntColumn") -> "IntColumn":
-        return IntColumn(np.empty(total, dtype=np.int64))
-
-    def scatter(self, target: "IntColumn", indices: np.ndarray) -> None:
-        target.data[indices] = self.data
-
-    def equal(self, other: "IntColumn") -> bool:
-        return (
-            self.data.shape == other.data.shape
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
-
-class GaussianDfColumn:
+class GaussianDfColumn(_ArrayColumn):
     """``DfSized(GaussianDistribution(mu, sigma2), n)`` as three columns.
 
     This is the accuracy-carrying value of the paper's pipelines —
@@ -186,7 +212,8 @@ class GaussianDfColumn:
     """
 
     kind = "gaussian-df"
-    __slots__ = ("mu", "sigma2", "sizes")
+    _FIELDS = ("mu", "sigma2", "sizes")
+    __slots__ = _FIELDS
 
     def __init__(
         self, mu: np.ndarray, sigma2: np.ndarray, sizes: np.ndarray
@@ -194,9 +221,6 @@ class GaussianDfColumn:
         self.mu = mu
         self.sigma2 = sigma2
         self.sizes = sizes
-
-    def __len__(self) -> int:
-        return len(self.mu)
 
     def get(self, i: int) -> DfSized:
         size = int(self.sizes[i])
@@ -208,58 +232,15 @@ class GaussianDfColumn:
     def values(self) -> list:
         return [self.get(i) for i in range(len(self.mu))]
 
-    def take(self, indices: np.ndarray) -> "GaussianDfColumn":
-        return GaussianDfColumn(
-            self.mu[indices], self.sigma2[indices], self.sizes[indices]
-        )
-
-    def slice(self, a: int, b: int) -> "GaussianDfColumn":
-        return GaussianDfColumn(
-            self.mu[a:b], self.sigma2[a:b], self.sizes[a:b]
-        )
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.mu, self.sigma2, self.sizes], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return GaussianDfColumn(arrays[0], arrays[1], arrays[2])
-
-    @staticmethod
-    def concat(parts: "list[GaussianDfColumn]") -> "GaussianDfColumn":
-        return GaussianDfColumn(
-            np.concatenate([p.mu for p in parts]),
-            np.concatenate([p.sigma2 for p in parts]),
-            np.concatenate([p.sizes for p in parts]),
-        )
-
-    @staticmethod
-    def allocate(
-        total: int, template: "GaussianDfColumn"
-    ) -> "GaussianDfColumn":
-        return GaussianDfColumn(
-            np.empty(total, dtype=np.float64),
-            np.empty(total, dtype=np.float64),
-            np.empty(total, dtype=np.int64),
-        )
-
-    def scatter(
-        self, target: "GaussianDfColumn", indices: np.ndarray
-    ) -> None:
-        target.mu[indices] = self.mu
-        target.sigma2[indices] = self.sigma2
-        target.sizes[indices] = self.sizes
-
-    def equal(self, other: "GaussianDfColumn") -> bool:
-        return (
-            self.mu.shape == other.mu.shape
-            and self.mu.tobytes() == other.mu.tobytes()
-            and self.sigma2.tobytes() == other.sigma2.tobytes()
-            and self.sizes.tobytes() == other.sizes.tobytes()
-        )
+    def moments(self) -> tuple[list, list, list]:
+        """Python ``(mu, sigma2, size)`` lists; exact sizes are ``None``."""
+        sizes = self.sizes.tolist()
+        if EXACT_SIZE in sizes:
+            sizes = [None if n == EXACT_SIZE else n for n in sizes]
+        return self.mu.tolist(), self.sigma2.tolist(), sizes
 
 
-class ArrayColumn:
+class ArrayColumn(_ArrayColumn):
     """Equal-length 1-D float64 payloads as one ``(batch, k)`` matrix.
 
     The Fig 5 workload's 20 raw data points per item travel here: one
@@ -267,13 +248,11 @@ class ArrayColumn:
     """
 
     kind = "f8-matrix"
-    __slots__ = ("matrix",)
+    _FIELDS = ("matrix",)
+    __slots__ = _FIELDS
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-
-    def __len__(self) -> int:
-        return len(self.matrix)
 
     def get(self, i: int) -> np.ndarray:
         return self.matrix[i]
@@ -281,50 +260,13 @@ class ArrayColumn:
     def values(self) -> list:
         return list(self.matrix)
 
-    def take(self, indices: np.ndarray) -> "ArrayColumn":
-        return ArrayColumn(self.matrix[indices])
-
-    def slice(self, a: int, b: int) -> "ArrayColumn":
-        return ArrayColumn(self.matrix[a:b])
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.matrix], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return ArrayColumn(arrays[0])
-
-    @staticmethod
-    def concat(parts: "list[ArrayColumn]") -> "ArrayColumn":
-        widths = {p.matrix.shape[1] for p in parts}
-        if len(widths) != 1:
-            raise StreamError(
-                f"cannot concatenate array columns of widths {sorted(widths)}"
-            )
-        return ArrayColumn(np.concatenate([p.matrix for p in parts]))
-
-    @staticmethod
-    def allocate(total: int, template: "ArrayColumn") -> "ArrayColumn":
-        return ArrayColumn(
-            np.empty((total, template.matrix.shape[1]), dtype=np.float64)
-        )
-
-    def scatter(self, target: "ArrayColumn", indices: np.ndarray) -> None:
-        target.matrix[indices] = self.matrix
-
-    def equal(self, other: "ArrayColumn") -> bool:
-        return (
-            self.matrix.shape == other.matrix.shape
-            and self.matrix.tobytes() == other.matrix.tobytes()
-        )
-
 
 class ObjectColumn:
     """Fallback column for truly opaque payloads (a plain list).
 
     Whatever does not decompose into numeric columns — strings, mixed
-    types, non-Gaussian distributions, :class:`~repro.core.accuracy.
-    AccuracyInfo` results — rides here and is pickled as-is at the IPC
+    types, non-Gaussian distributions, accuracy records with histogram
+    bins — rides here and is pickled as-is at the IPC
     boundary.  Keeping this column *narrow* (few attributes, small
     values) is what keeps the transport fast.
     """
@@ -383,14 +325,131 @@ class ObjectColumn:
         )
 
 
+class AccuracyColumn(_ArrayColumn):
+    """Bin-free :class:`~repro.core.accuracy.AccuracyInfo` records as arrays.
+
+    The batched accuracy stages emit one record per row; building each
+    as three frozen dataclasses cost more than all the interval math.
+    This column keeps the mean/variance bounds and sample sizes as f8/i8
+    arrays and the bootstrap counters (``values_used``,
+    ``values_dropped``, ``draws_used``, ``rounds``) as i8 arrays;
+    ``confidence`` and ``method`` are column metadata.  ``get(i)`` builds
+    the record only when a row is read, through
+    :meth:`AccuracyInfo.from_bounds` — the row builder the per-row
+    kernels use — so it pickles byte-identically to theirs.
+
+    Records with histogram bins or a sketch synopsis error stay in an
+    :class:`ObjectColumn`.  Build through :meth:`from_bounds`, which
+    validates every row up front, so reading a row never raises.
+    """
+
+    kind = "accuracy"
+    _FIELDS = (
+        "mean_lo", "mean_hi", "var_lo", "var_hi", "sample_size",
+        "values_used", "values_dropped", "draws_used", "rounds",
+    )
+    __slots__ = _FIELDS + ("confidence", "method")
+
+    def __init__(
+        self, arrays: Sequence[np.ndarray], confidence: float, method: str
+    ) -> None:
+        for name, array in zip(self._FIELDS, arrays):
+            setattr(self, name, array)
+        self.confidence = confidence
+        self.method = method
+
+    def _meta(self) -> tuple[float, str]:
+        return self.confidence, self.method
+
+    @classmethod
+    def _build(cls, meta, arrays: list[np.ndarray]) -> "AccuracyColumn":
+        return cls(arrays, *meta)
+
+    @classmethod
+    def from_bounds(
+        cls,
+        mean_lo: np.ndarray,
+        mean_hi: np.ndarray,
+        var_lo: np.ndarray,
+        var_hi: np.ndarray,
+        sample_size: "np.ndarray | int",
+        confidence: float,
+        method: str = "analytic",
+        values_used: "np.ndarray | int" = 0,
+        values_dropped: "np.ndarray | int" = 0,
+        draws_used: "np.ndarray | int" = 0,
+        rounds: "np.ndarray | int" = 0,
+    ) -> "AccuracyColumn":
+        """A validated column; each integer field is an array or one
+        value shared by every row.
+
+        One vectorized pass finds any row the per-row builder would
+        reject (NaN bound, inverted interval, negative count); that row
+        is then built eagerly, so the error is the per-row path's own
+        and is raised now, not when the row is first read.
+        """
+        shape = (len(mean_lo),)
+        ints = [
+            np.broadcast_to(np.asarray(value, dtype=np.int64), shape).copy()
+            for value in (
+                sample_size, values_used, values_dropped, draws_used, rounds
+            )
+        ]
+        column = cls(
+            [mean_lo, mean_hi, var_lo, var_hi] + ints, confidence, method
+        )
+        bad = (
+            np.isnan(mean_lo)
+            | np.isnan(mean_hi)
+            | (mean_hi < mean_lo)
+            | np.isnan(var_lo)
+            | np.isnan(var_hi)
+            | (var_hi < var_lo)
+        )
+        for array in ints:
+            bad |= array < 0
+        valid_meta = 0.0 < confidence < 1.0 and method in (
+            "analytic", "bootstrap"
+        )
+        for i in np.flatnonzero(bad) if valid_meta else range(shape[0]):
+            column.get(int(i))  # raises the per-row error
+        return column
+
+    def get(self, i: int) -> AccuracyInfo:
+        return AccuracyInfo.from_bounds(
+            float(self.mean_lo[i]),
+            float(self.mean_hi[i]),
+            float(self.var_lo[i]),
+            float(self.var_hi[i]),
+            self.confidence,
+            int(self.sample_size[i]),
+            self.method,
+            int(self.values_used[i]),
+            int(self.values_dropped[i]),
+            int(self.draws_used[i]),
+            int(self.rounds[i]),
+        )
+
+    def values(self) -> list:
+        build = AccuracyInfo.from_bounds
+        confidence, method = self.confidence, self.method
+        return [
+            build(a, b, c, d, confidence, n, method, used, dropped, draws, r)
+            for a, b, c, d, n, used, dropped, draws, r in zip(
+                *(array.tolist() for array in self.arrays())
+            )
+        ]
+
+
 _COLUMN_TYPES = {
     cls.kind: cls
     for cls in (FloatColumn, IntColumn, GaussianDfColumn, ArrayColumn,
-                ObjectColumn)
+                ObjectColumn, AccuracyColumn)
 }
 
 Column = (
     FloatColumn | IntColumn | GaussianDfColumn | ArrayColumn | ObjectColumn
+    | AccuracyColumn
 )
 
 
@@ -463,20 +522,29 @@ def _scalar_column(values: list) -> "np.ndarray | list":
     return values
 
 
+def _stored(values: "np.ndarray | list | Column") -> "Column":
+    """Probabilities or timestamps as a column (arrays as f8 columns)."""
+    if isinstance(values, (FloatColumn, ObjectColumn)):
+        return values
+    if isinstance(values, np.ndarray):
+        return FloatColumn(values)
+    return ObjectColumn(values)
+
+
 class ColumnarPayload:
     """Flattened, picklable form of a batch for the IPC boundary.
 
-    Numeric blocks are either ndarrays (pickled — one buffer copy each)
-    or :class:`~repro.parallel.shm.SharedSpec` handles into shared
-    memory; object columns and non-float probability/timestamp lists
-    ride as pickled Python objects.  Build with
-    :meth:`ColumnarBatch.to_payload`, rebuild with
+    ``kinds``/``metas``/``counts`` describe the named columns, then the
+    probabilities, then the timestamps (when present); ``blocks`` holds
+    their numeric arrays in that order, each an ndarray (pickled — one
+    buffer copy) or a :class:`~repro.parallel.shm.SharedSpec` handle
+    into shared memory, and ``objects`` the object-column lists by
+    position.  Build with :meth:`ColumnarBatch.to_payload`, rebuild with
     :meth:`ColumnarBatch.from_payload`.
     """
 
     __slots__ = (
-        "length", "names", "kinds", "metas", "counts", "blocks",
-        "objects", "prob", "ts",
+        "length", "names", "kinds", "metas", "counts", "blocks", "objects",
     )
 
     def __init__(
@@ -487,9 +555,7 @@ class ColumnarPayload:
         metas: tuple[object, ...],
         counts: tuple[int, ...],
         blocks: list,
-        objects: dict[str, object],
-        prob: object,
-        ts: object,
+        objects: dict[int, object],
     ) -> None:
         self.length = length
         self.names = names
@@ -498,8 +564,6 @@ class ColumnarPayload:
         self.counts = counts
         self.blocks = blocks
         self.objects = objects
-        self.prob = prob
-        self.ts = ts
 
 
 class ColumnarBatch(Sequence):
@@ -526,8 +590,11 @@ class ColumnarBatch(Sequence):
         self._columns = columns
         if probabilities is None:
             probabilities = np.ones(length, dtype=np.float64)
-        self._prob = probabilities
-        self._ts = timestamps
+        # Probabilities and timestamps are stored as columns too (f8, or
+        # objects when not all Python floats), so every reshaping and
+        # transport step treats them like the named columns.
+        self._prob = _stored(probabilities)
+        self._ts = None if timestamps is None else _stored(timestamps)
         for name in self._names:
             if len(columns[name]) != length:
                 raise StreamError(
@@ -587,13 +654,13 @@ class ColumnarBatch(Sequence):
         return self._length
 
     def probability(self, i: int) -> float:
-        value = self._prob[i]
+        value = self._prob.get(i)
         return float(value) if type(value) is np.float64 else value
 
     def timestamp(self, i: int) -> "float | None":
         if self._ts is None:
             return None
-        value = self._ts[i]
+        value = self._ts.get(i)
         return float(value) if type(value) is np.float64 else value
 
     def __getitem__(self, index):
@@ -632,11 +699,31 @@ class ColumnarBatch(Sequence):
 
     @property
     def probabilities(self) -> "np.ndarray | list":
-        return self._prob
+        return self._prob.data
 
     @property
     def timestamps(self) -> "np.ndarray | list | None":
-        return self._ts
+        return None if self._ts is None else self._ts.data
+
+    def _all_columns(self) -> list:
+        """The named columns, then probabilities, then any timestamps."""
+        columns = [self._columns[n] for n in self._names] + [self._prob]
+        if self._ts is not None:
+            columns.append(self._ts)
+        return columns
+
+    @classmethod
+    def _from_all(
+        cls, length: int, names: tuple[str, ...], columns: list
+    ) -> "ColumnarBatch":
+        k = len(names)
+        return cls(
+            length,
+            names,
+            dict(zip(names, columns)),
+            columns[k],
+            columns[k + 1] if len(columns) > k + 1 else None,
+        )
 
     def column(self, name: str) -> "Column | None":
         """The named column, or ``None`` when the batch lacks it."""
@@ -688,40 +775,35 @@ class ColumnarBatch(Sequence):
 
     def slice(self, a: int, b: int) -> "ColumnarBatch":
         """Zero-copy contiguous sub-batch (the run_batched fast path)."""
-        columns = {
-            name: col.slice(a, b) for name, col in self._columns.items()
-        }
-        prob = self._prob[a:b]
-        ts = self._ts[a:b] if self._ts is not None else None
-        return ColumnarBatch(b - a, self._names, columns, prob, ts)
+        return self._from_all(
+            b - a, self._names, [c.slice(a, b) for c in self._all_columns()]
+        )
 
     def take(self, indices: Sequence[int]) -> "ColumnarBatch":
         """Row subset in the given order (shard partitioning)."""
         idx = np.asarray(indices, dtype=np.intp)
-        columns = {
-            name: col.take(idx) for name, col in self._columns.items()
-        }
-        if isinstance(self._prob, np.ndarray):
-            prob = self._prob[idx]
-        else:
-            prob = [self._prob[i] for i in indices]
-        ts: np.ndarray | list | None
-        if self._ts is None:
-            ts = None
-        elif isinstance(self._ts, np.ndarray):
-            ts = self._ts[idx]
-        else:
-            ts = [self._ts[i] for i in indices]
-        return ColumnarBatch(len(idx), self._names, columns, prob, ts)
+        return self._from_all(
+            len(idx), self._names, [c.take(idx) for c in self._all_columns()]
+        )
 
     def schema_signature(self) -> tuple:
         """Names + column kinds; two batches merge iff these match."""
         return (
             self._names,
-            tuple(type(self._columns[n]).kind for n in self._names),
-            isinstance(self._prob, np.ndarray),
-            None if self._ts is None else isinstance(self._ts, np.ndarray),
+            tuple(c.kind for c in self._all_columns()),
+            self._ts is None,
         )
+
+    @classmethod
+    def _checked(
+        cls, batches: "Sequence[ColumnarBatch]", action: str
+    ) -> "ColumnarBatch":
+        signature = batches[0].schema_signature()
+        if any(b.schema_signature() != signature for b in batches[1:]):
+            raise StreamError(
+                f"cannot {action} columnar batches with different schemas"
+            )
+        return batches[0]
 
     @classmethod
     def concat(cls, batches: "Sequence[ColumnarBatch]") -> "ColumnarBatch":
@@ -731,34 +813,12 @@ class ColumnarBatch(Sequence):
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-        signature = parts[0].schema_signature()
-        if any(p.schema_signature() != signature for p in parts[1:]):
-            raise StreamError(
-                "cannot concatenate columnar batches with different schemas"
-            )
-        first = parts[0]
-        columns = {
-            name: type(first._columns[name]).concat(
-                [p._columns[name] for p in parts]
-            )
-            for name in first._names
-        }
-        if isinstance(first._prob, np.ndarray):
-            prob: np.ndarray | list = np.concatenate(
-                [p._prob for p in parts]
-            )
-        else:
-            prob = [x for p in parts for x in p._prob]
-        ts: np.ndarray | list | None
-        if first._ts is None:
-            ts = None
-        elif isinstance(first._ts, np.ndarray):
-            ts = np.concatenate([p._ts for p in parts])
-        else:
-            ts = [x for p in parts for x in p._ts]
-        return cls(
-            sum(len(p) for p in parts), first._names, columns, prob, ts
-        )
+        first = cls._checked(parts, "concatenate")
+        columns = [
+            type(group[0]).concat(list(group))
+            for group in zip(*(p._all_columns() for p in parts))
+        ]
+        return cls._from_all(sum(map(len, parts)), first._names, columns)
 
     @classmethod
     def interleave(
@@ -781,67 +841,27 @@ class ColumnarBatch(Sequence):
         ]
         if not parts:
             return cls.empty()
-        signature = parts[0][0].schema_signature()
-        if any(p.schema_signature() != signature for p, _ in parts[1:]):
-            raise StreamError(
-                "cannot interleave columnar batches with different schemas"
-            )
-        first = parts[0][0]
-        columns: dict[str, Column] = {}
-        for name in first._names:
-            kind = type(first._columns[name])
-            target = kind.allocate(total, first._columns[name])
-            for batch, pos in parts:
-                batch._columns[name].scatter(target, pos)
-            columns[name] = target
-        if isinstance(first._prob, np.ndarray):
-            prob: np.ndarray | list = np.empty(total, dtype=np.float64)
-            for batch, pos in parts:
-                prob[pos] = batch._prob
-        else:
-            prob = [None] * total
-            for batch, pos in parts:
-                for value, i in zip(batch._prob, pos):
-                    prob[i] = value
-        ts: np.ndarray | list | None
-        if first._ts is None:
-            ts = None
-        elif isinstance(first._ts, np.ndarray):
-            ts = np.empty(total, dtype=np.float64)
-            for batch, pos in parts:
-                ts[pos] = batch._ts
-        else:
-            ts = [None] * total
-            for batch, pos in parts:
-                for value, i in zip(batch._ts, pos):
-                    ts[i] = value
-        return cls(total, first._names, columns, prob, ts)
+        first = cls._checked([batch for batch, _ in parts], "interleave")
+        columns = []
+        for group in zip(*(batch._all_columns() for batch, _ in parts)):
+            target = type(group[0]).allocate(total, group[0])
+            for column, (_, pos) in zip(group, parts):
+                column.scatter(target, pos)
+            columns.append(target)
+        return cls._from_all(total, first._names, columns)
 
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnarBatch):
             return NotImplemented
-        if self._length != other._length or self._names != other._names:
-            return False
-        if self.schema_signature() != other.schema_signature():
-            return False
-        for name in self._names:
-            if not self._columns[name].equal(other._columns[name]):
-                return False
-        if isinstance(self._prob, np.ndarray):
-            if self._prob.tobytes() != other._prob.tobytes():
-                return False
-        elif not all(
-            _values_equal(a, b) for a, b in zip(self._prob, other._prob)
-        ):
-            return False
-        if self._ts is None:
-            return other._ts is None
-        if isinstance(self._ts, np.ndarray):
-            return self._ts.tobytes() == other._ts.tobytes()
-        return all(
-            _values_equal(a, b) for a, b in zip(self._ts, other._ts)
+        return (
+            self._length == other._length
+            and self.schema_signature() == other.schema_signature()
+            and all(
+                a.equal(b)
+                for a, b in zip(self._all_columns(), other._all_columns())
+            )
         )
 
     __hash__ = None  # type: ignore[assignment] - mutable buffers
@@ -873,43 +893,26 @@ class ColumnarBatch(Sequence):
         kinds: list[str] = []
         metas: list[object] = []
         counts: list[int] = []
-        objects: dict[str, object] = {}
-
-        def ship(array: np.ndarray) -> object:
-            if use_shm and array.nbytes >= SHM_MIN_BYTES:
-                shared = share_array(array)
-                if shared is not None:
-                    owners.append(shared)
-                    return shared.spec
-            return array
-
-        for name in self._names:
-            column = self._columns[name]
+        objects: dict[int, object] = {}
+        for position, column in enumerate(self._all_columns()):
             meta, arrays, obj = column.export()
-            kinds.append(type(column).kind)
+            kinds.append(column.kind)
             metas.append(meta)
             counts.append(len(arrays))
-            blocks.extend(ship(a) for a in arrays)
+            for array in arrays:
+                shared = (
+                    share_array(array)
+                    if use_shm and array.nbytes >= SHM_MIN_BYTES
+                    else None
+                )
+                if shared is not None:
+                    owners.append(shared)
+                blocks.append(array if shared is None else shared.spec)
             if obj is not None:
-                objects[name] = obj
-        prob = (
-            ship(self._prob)
-            if isinstance(self._prob, np.ndarray)
-            else self._prob
-        )
-        ts = (
-            ship(self._ts) if isinstance(self._ts, np.ndarray) else self._ts
-        )
+                objects[position] = obj
         payload = ColumnarPayload(
-            self._length,
-            self._names,
-            tuple(kinds),
-            tuple(metas),
-            tuple(counts),
-            blocks,
-            objects,
-            prob,
-            ts,
+            self._length, self._names, tuple(kinds), tuple(metas),
+            tuple(counts), blocks, objects,
         )
         return payload, owners
 
@@ -933,25 +936,30 @@ class ColumnarBatch(Sequence):
             return block  # a plain (pickled) ndarray
 
         blocks = iter(payload.blocks)
-        columns: dict[str, Column] = {}
-        for name, kind, meta, count in zip(
-            payload.names, payload.kinds, payload.metas, payload.counts
-        ):
-            arrays = [load(next(blocks)) for _ in range(count)]
-            columns[name] = _COLUMN_TYPES[kind].restore(
-                meta, arrays, payload.objects.get(name)
+        columns = [
+            _COLUMN_TYPES[kind].restore(
+                meta,
+                [load(next(blocks)) for _ in range(count)],
+                payload.objects.get(position),
             )
-        prob = (
-            load(payload.prob)
-            if isinstance(payload.prob, (SharedSpec, np.ndarray))
-            else payload.prob
-        )
-        ts = (
-            load(payload.ts)
-            if isinstance(payload.ts, (SharedSpec, np.ndarray))
-            else payload.ts
-        )
-        return cls(payload.length, payload.names, columns, prob, ts)
+            for position, (kind, meta, count) in enumerate(
+                zip(payload.kinds, payload.metas, payload.counts)
+            )
+        ]
+        return cls._from_all(payload.length, payload.names, columns)
+
+
+def gaussian_column_of(
+    tuples: "Sequence[UncertainTuple]", name: str
+) -> "GaussianDfColumn | None":
+    """The named Gaussian column when ``tuples`` is a columnar batch.
+
+    The gate of the columnar operator fast paths: ``None`` sends tuple
+    lists and other column kinds down the per-tuple path.
+    """
+    if isinstance(tuples, ColumnarBatch):
+        return tuples.gaussian_column(name)
+    return None
 
 
 def as_columnar(

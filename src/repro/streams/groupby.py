@@ -17,7 +17,11 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from repro.errors import StreamError
-from repro.streams.columnar import EXACT_SIZE, ColumnarBatch, _infer_column
+from repro.streams.columnar import (
+    ColumnarBatch,
+    _infer_column,
+    gaussian_column_of,
+)
 from repro.streams.operators import Operator, _aggregate_value
 from repro.streams.rolling import (
     DEFAULT_RESUM_INTERVAL,
@@ -172,55 +176,51 @@ class GroupedAggregate(Operator):
         value = _aggregate_value(self._groups[group_key], self.agg)
         return UncertainTuple({self.key: group_key, self.output: value})
 
+    def _push(
+        self,
+        group_key: object,
+        mean: float,
+        variance: float,
+        size: int | None,
+    ):
+        """Add one member to its group's window; the group's stats."""
+        stats = self._group_stats(group_key)
+        stats.push(mean, variance, size)
+        self._after_push(group_key, stats)
+        return stats
+
     def process(self, tup: UncertainTuple) -> None:
         group_key = tup.value(self.key)
         field = tup.dfsized(self.attribute)
         dist = field.distribution
-        stats = self._group_stats(group_key)
-        stats.push(dist.mean(), dist.variance(), field.sample_size)
-        self._after_push(group_key, stats)
+        self._push(group_key, dist.mean(), dist.variance(), field.sample_size)
         if self.emit_every:
             self.emit(self._aggregate(group_key))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        if isinstance(tuples, ColumnarBatch):
-            key_column = tuples.column(self.key)
-            column = tuples.gaussian_column(self.attribute)
-            if key_column is not None and column is not None:
-                agg = self.agg
-                emit_every = self.emit_every
-                group_stats = self._group_stats
-                after_push = self._after_push
-                outputs = []
-                for group_key, mu, sigma2, size in zip(
-                    key_column.values(),
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    stats = group_stats(group_key)
-                    stats.push(
-                        mu, sigma2, None if size == EXACT_SIZE else size
-                    )
-                    after_push(group_key, stats)
-                    if emit_every:
-                        outputs.append(_aggregate_value(stats, agg))
-                if emit_every:
-                    # The output tuple is {key, output} with default
-                    # probability/timestamp, exactly as ``_aggregate``
-                    # builds it — the key column is reused as-is.
-                    self.emit_many(
-                        ColumnarBatch(
-                            len(tuples),
-                            (self.key, self.output),
-                            {
-                                self.key: key_column,
-                                self.output: _infer_column(outputs),
-                            },
-                        )
-                    )
-                return
-        super().process_many(tuples)
+        column = gaussian_column_of(tuples, self.attribute)
+        key_column = None if column is None else tuples.column(self.key)
+        if key_column is None:
+            super().process_many(tuples)
+            return
+        outputs = []
+        for group_key, *moments in zip(
+            key_column.values(), *column.moments()
+        ):
+            stats = self._push(group_key, *moments)
+            if self.emit_every:
+                outputs.append(_aggregate_value(stats, self.agg))
+        if self.emit_every:
+            # The output tuple is {key, output} with default
+            # probability/timestamp, exactly as ``_aggregate`` builds
+            # it — the key column is reused as-is.
+            self.emit_many(
+                ColumnarBatch(
+                    len(tuples),
+                    (self.key, self.output),
+                    {self.key: key_column, self.output: _infer_column(outputs)},
+                )
+            )
 
     def on_flush(self) -> None:
         if not self.emit_every:

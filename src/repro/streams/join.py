@@ -40,9 +40,7 @@ class TagSide(Operator):
         self.side = side
 
     def process(self, tup: UncertainTuple) -> None:
-        attributes = dict(tup.attributes)
-        attributes[_SIDE_ATTR] = self.side
-        self.emit(tup.with_attributes(attributes))
+        self.emit(tup.with_value(_SIDE_ATTR, self.side))
 
 
 class WindowJoin(Operator):

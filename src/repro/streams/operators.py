@@ -17,7 +17,6 @@ The two filters embody the paper's two predicate styles:
 from __future__ import annotations
 
 import abc
-import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from time import perf_counter
@@ -39,6 +38,7 @@ from repro.streams.columnar import (
     GaussianDfColumn,
     _infer_column,
     as_columnar,
+    gaussian_column_of,
 )
 from repro.streams.rolling import DEFAULT_RESUM_INTERVAL, RollingWindowStats
 from repro.streams.tuples import UncertainTuple
@@ -368,9 +368,7 @@ class Derive(Operator):
         self.fn = fn
 
     def process(self, tup: UncertainTuple) -> None:
-        attributes = dict(tup.attributes)
-        attributes[self.name] = self.fn(tup)
-        self.emit(tup.with_attributes(attributes))
+        self.emit(tup.with_value(self.name, self.fn(tup)))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         fn = self.fn
@@ -381,12 +379,7 @@ class Derive(Operator):
             )
             return
         name = self.name
-        out = []
-        for tup in tuples:
-            attributes = dict(tup.attributes)
-            attributes[name] = fn(tup)
-            out.append(tup.with_attributes(attributes))
-        self.emit_many(out)
+        self.emit_many([tup.with_value(name, fn(tup)) for tup in tuples])
 
 
 class ProbabilisticFilter(Operator):
@@ -491,8 +484,15 @@ class SlidingGaussianAverage(Operator):
     def rolling_states(self) -> Iterable:
         return (self._stats,)
 
-    def _advance(self, tup: UncertainTuple) -> UncertainTuple | None:
-        """Slide the window by one tuple; return the output tuple, if any."""
+    def _skipped(self, slides: int) -> int:
+        """Leading slides of a run of ``slides`` left below a full window
+        (dropped when ``emit_partial`` is off); call before sliding."""
+        if self.emit_partial:
+            return 0
+        return min(slides, max(0, self.window_size - self._stats.count - 1))
+
+    def process(self, tup: UncertainTuple) -> None:
+        # The scalar path is the batched kernel on a length-1 run.
         field = tup.dfsized(self.attribute)
         dist = field.distribution
         if not isinstance(dist, GaussianDistribution):
@@ -500,83 +500,38 @@ class SlidingGaussianAverage(Operator):
                 f"SlidingGaussianAverage needs Gaussian attributes, got "
                 f"{type(dist).__name__}"
             )
-        stats = self._stats
-        stats.push(dist.mu, dist.sigma2, field.sample_size)
-        if stats.count > self.window_size:
-            stats.evict_oldest()
-
-        k = stats.count
-        if k < self.window_size and not self.emit_partial:
-            return None
-        avg = GaussianDistribution(
-            stats.mean_sum / k, stats.var_sum / (k * k)
+        skipped = self._skipped(1)
+        mus, variances, dfs = self._stats.slide(
+            (dist.mu,), (dist.sigma2,), (field.sample_size,), self.window_size
         )
-        attributes = dict(tup.attributes)
-        attributes[self.output] = DfSized(avg, stats.df_size)
-        return tup.with_attributes(attributes)
-
-    def process(self, tup: UncertainTuple) -> None:
-        out = self._advance(tup)
-        if out is not None:
-            self.emit(out)
+        if not skipped:
+            avg = GaussianDistribution(mus[0], variances[0])
+            self.emit(tup.with_value(self.output, DfSized(avg, dfs[0])))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                self._advance_columns(tuples, column)
-                return
-        advance = self._advance
-        self.emit_many(
-            [out for out in map(advance, tuples) if out is not None]
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None:
+            # Tuple lists (and non-Gaussian columns) slide per tuple.
+            super().process_many(tuples)
+            return
+        skipped = self._skipped(len(column))
+        mus, variances, dfs = self._stats.slide(
+            *column.moments(), self.window_size
         )
-
-    def _advance_columns(
-        self, batch: ColumnarBatch, column: GaussianDfColumn
-    ) -> None:
-        """Slide over ``(mu, sigma2, n)`` columns without materializing.
-
-        The rolling sums are fed in the exact per-tuple order (no
-        vectorized re-association), so emitted values are bit-identical
-        to the per-tuple path.
-        """
-        stats = self._stats
-        window = self.window_size
-        mus = column.mu.tolist()
-        sigma2s = column.sigma2.tolist()
-        sizes = column.sizes.tolist()
-        out_mu: list[float] = []
-        out_var: list[float] = []
-        out_size: list[int] = []
-        kept = None if self.emit_partial else []
-        for i, mu in enumerate(mus):
-            size = sizes[i]
-            stats.push(mu, sigma2s[i], None if size == EXACT_SIZE else size)
-            if stats.count > window:
-                stats.evict_oldest()
-            k = stats.count
-            if kept is not None:
-                if k < window:
-                    continue
-                kept.append(i)
-            avg_mu = stats.mean_sum / k
-            avg_var = stats.var_sum / (k * k)
-            if avg_var < 0.0 or not (
-                math.isfinite(avg_mu) and math.isfinite(avg_var)
-            ):
-                GaussianDistribution(avg_mu, avg_var)  # canonical error
-            df = stats.df_size
-            out_mu.append(avg_mu)
-            out_var.append(avg_var)
-            out_size.append(EXACT_SIZE if df is None else df)
-        base = batch if kept is None else batch.take(kept)
+        out_mu = np.array(mus[skipped:], dtype=np.float64)
+        out_var = np.array(variances[skipped:], dtype=np.float64)
+        bad = ~(np.isfinite(out_mu) & np.isfinite(out_var)) | (out_var < 0.0)
+        for i in np.flatnonzero(bad):  # canonical per-row error
+            GaussianDistribution(float(out_mu[i]), float(out_var[i]))
+        dfs = dfs[skipped:]
+        if None in dfs:
+            dfs = [EXACT_SIZE if n is None else n for n in dfs]
+        batch = tuples.slice(skipped, len(tuples)) if skipped else tuples
         self.emit_many(
-            base.with_column(
+            batch.with_column(
                 self.output,
                 GaussianDfColumn(
-                    np.asarray(out_mu, dtype=np.float64),
-                    np.asarray(out_var, dtype=np.float64),
-                    np.asarray(out_size, dtype=np.int64),
+                    out_mu, out_var, np.array(dfs, dtype=np.int64)
                 ),
             )
         )
@@ -690,47 +645,33 @@ class WindowAggregate(Operator):
     def rolling_states(self) -> Iterable:
         return (self._stats,)
 
-    def _advance(self, tup: UncertainTuple) -> UncertainTuple:
-        """Slide the window by one tuple and build the aggregate tuple."""
-        field = tup.dfsized(self.attribute)
-        dist = field.distribution
+    def _slide(
+        self, mean: float, variance: float, size: int | None
+    ) -> object:
+        """Slide the window by one member; the aggregate value after it."""
         stats = self._stats
-        stats.push(dist.mean(), dist.variance(), field.sample_size)
+        stats.push(mean, variance, size)
         if stats.count > self.window_size:
             stats.evict_oldest()
-        attributes = dict(tup.attributes)
-        attributes[self.output] = _aggregate_value(stats, self.agg)
-        return tup.with_attributes(attributes)
+        return _aggregate_value(stats, self.agg)
 
     def process(self, tup: UncertainTuple) -> None:
-        self.emit(self._advance(tup))
+        field = tup.dfsized(self.attribute)
+        dist = field.distribution
+        value = self._slide(dist.mean(), dist.variance(), field.sample_size)
+        self.emit(tup.with_value(self.output, value))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                # Gaussian mean()/variance() are mu/sigma2, so the
-                # columns feed the rolling sums directly, in order.
-                stats = self._stats
-                window = self.window_size
-                agg = self.agg
-                outputs = []
-                for mu, sigma2, size in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    stats.push(
-                        mu, sigma2, None if size == EXACT_SIZE else size
-                    )
-                    if stats.count > window:
-                        stats.evict_oldest()
-                    outputs.append(_aggregate_value(stats, agg))
-                self.emit_many(
-                    tuples.with_column(self.output, _infer_column(outputs))
-                )
-                return
-        self.emit_many([self._advance(tup) for tup in tuples])
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None:
+            super().process_many(tuples)
+            return
+        # Gaussian mean()/variance() are mu/sigma2, so the columns feed
+        # the rolling sums directly, in order.
+        outputs = [self._slide(*row) for row in zip(*column.moments())]
+        self.emit_many(
+            tuples.with_column(self.output, _infer_column(outputs))
+        )
 
     def state_bytes(self) -> int:
         return self._stats.nbytes
@@ -855,66 +796,44 @@ class TimeWindowAggregate(Operator):
     def rolling_states(self) -> Iterable:
         return (self._stats,)
 
+    def _slide(
+        self, mean: float, variance: float, size: int | None, ts: float
+    ) -> object:
+        """Slide the window to timestamp ``ts``; the aggregate after it."""
+        stats = self._stats
+        newest = stats.newest_timestamp
+        if newest is not None and ts < newest:
+            raise StreamError(
+                f"timestamps must be non-decreasing: {ts} after {newest}"
+            )
+        stats.push(mean, variance, size, timestamp=ts)
+        stats.evict_expired(ts - self.duration)
+        return _aggregate_value(stats, self.agg)
+
     def process(self, tup: UncertainTuple) -> None:
         if tup.timestamp is None:
             raise StreamError(
                 "TimeWindowAggregate needs timestamped tuples"
             )
-        stats = self._stats
-        newest = stats.newest_timestamp
-        if newest is not None and tup.timestamp < newest:
-            raise StreamError(
-                "timestamps must be non-decreasing: "
-                f"{tup.timestamp} after {newest}"
-            )
         field = tup.dfsized(self.attribute)
         dist = field.distribution
-        stats.push(
-            dist.mean(),
-            dist.variance(),
-            field.sample_size,
-            timestamp=tup.timestamp,
+        value = self._slide(
+            dist.mean(), dist.variance(), field.sample_size, tup.timestamp
         )
-        stats.evict_expired(tup.timestamp - self.duration)
-        attributes = dict(tup.attributes)
-        attributes[self.output] = _aggregate_value(stats, self.agg)
-        self.emit(tup.with_attributes(attributes))
+        self.emit(tup.with_value(self.output, value))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        if isinstance(tuples, ColumnarBatch) and isinstance(
-            tuples.timestamps, np.ndarray
-        ):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                stats = self._stats
-                duration = self.duration
-                agg = self.agg
-                outputs = []
-                for mu, sigma2, size, ts in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                    tuples.timestamps.tolist(),
-                ):
-                    newest = stats.newest_timestamp
-                    if newest is not None and ts < newest:
-                        raise StreamError(
-                            "timestamps must be non-decreasing: "
-                            f"{ts} after {newest}"
-                        )
-                    stats.push(
-                        mu,
-                        sigma2,
-                        None if size == EXACT_SIZE else size,
-                        timestamp=ts,
-                    )
-                    stats.evict_expired(ts - duration)
-                    outputs.append(_aggregate_value(stats, agg))
-                self.emit_many(
-                    tuples.with_column(self.output, _infer_column(outputs))
-                )
-                return
-        super().process_many(tuples)
+        column = gaussian_column_of(tuples, self.attribute)
+        if column is None or not isinstance(tuples.timestamps, np.ndarray):
+            super().process_many(tuples)
+            return
+        outputs = [
+            self._slide(*row)
+            for row in zip(*column.moments(), tuples.timestamps.tolist())
+        ]
+        self.emit_many(
+            tuples.with_column(self.output, _infer_column(outputs))
+        )
 
     def state_bytes(self) -> int:
         return self._stats.nbytes
@@ -1043,15 +962,14 @@ class RollingLearnOperator(Operator):
         k = self._slide(tup)
         if k is None:
             return None
-        attributes = dict(tup.attributes)
-        attributes[self.output] = DfSized(
-            self.learner.partial_distribution(self._state), k
-        )
+        learned = DfSized(self.learner.partial_distribution(self._state), k)
+        out = tup.with_value(self.output, learned)
         if self.accuracy_output is not None:
-            attributes[self.accuracy_output] = self.learner.partial_accuracy(
+            accuracy = self.learner.partial_accuracy(
                 self._state, self.confidence
             )
-        return tup.with_attributes(attributes)
+            out = out.with_value(self.accuracy_output, accuracy)
+        return out
 
     def process(self, tup: UncertainTuple) -> None:
         out = self._advance(tup)
@@ -1060,38 +978,28 @@ class RollingLearnOperator(Operator):
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if self.accuracy_output is None or not self.learner.partial_vectorizable:
-            advance = self._advance
-            self.emit_many(
-                [out for out in map(advance, tuples) if out is not None]
-            )
+            super().process_many(tuples)
             return
         # Vectorized path: collect the per-slide moments, then build all
         # accuracy infos in one Theorem-1 pass (element-wise identical
         # to the scalar path — same memoized quantiles, same FP order).
-        staged: list[tuple[UncertainTuple, dict[str, object]]] = []
+        staged: list[UncertainTuple] = []
         moments: list[tuple[float, float, int]] = []
         for tup in tuples:
             k = self._slide(tup)
             if k is None:
                 continue
-            attributes = dict(tup.attributes)
-            attributes[self.output] = DfSized(
-                self.learner.partial_distribution(self._state), k
-            )
-            staged.append((tup, attributes))
+            learned = DfSized(self.learner.partial_distribution(self._state), k)
+            staged.append(tup.with_value(self.output, learned))
             moments.append(self.learner.partial_moments(self._state))
-        if not staged:
-            self.emit_many([])
-            return
-        means, variances, sizes = zip(*moments)
-        infos = accuracy_from_moments(
-            means, variances, sizes, self.confidence
-        )
-        outs = []
-        for (tup, attributes), info in zip(staged, infos):
-            attributes[self.accuracy_output] = info
-            outs.append(tup.with_attributes(attributes))
-        self.emit_many(outs)
+        if staged:
+            infos = accuracy_from_moments(*zip(*moments), self.confidence)
+            self.emit_many(
+                [
+                    tup.with_value(self.accuracy_output, info)
+                    for tup, info in zip(staged, infos)
+                ]
+            )
 
     def state_bytes(self) -> int:
         """Learner state plus (for buffering learners) the value window."""

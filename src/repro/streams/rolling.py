@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.errors import StreamError
 
@@ -288,6 +288,108 @@ class RollingWindowStats:
         ):
             self._resum()
         return mean, variance, size
+
+    def slide(
+        self,
+        mus: Sequence[float],
+        sigma2s: Sequence[float],
+        sizes: Sequence[int | None],
+        window: int,
+    ) -> tuple[list[float], list[float], list[int | None]]:
+        """Slide a count-based window over a run of members in one call.
+
+        Per member: :meth:`push`, then :meth:`evict_oldest` once the
+        count exceeds ``window``, then read ``mean_sum / k``,
+        ``var_sum / k**2`` and ``df_size`` — the Neumaier updates, the
+        Lemma-3 size multiset, the cancellation check and the periodic
+        re-sum inlined in exactly that order, so every value (and every
+        drift-guard counter and metric) is what the per-member calls
+        produce.  Returns the three per-slide lists.  Only for windows
+        without extrema tracking or timestamps.
+        """
+        if self._min is not None or self._timestamps:
+            raise StreamError(
+                "slide() needs a count-based window without extrema"
+            )
+        entries = self._entries
+        append, popleft = entries.append, entries.popleft
+        msum, vsum = self._mean_sum, self._var_sum
+        ms, mc, vs, vc = msum._sum, msum._comp, vsum._sum, vsum._comp
+        tracker = self._sizes
+        counts, smin = tracker._counts, tracker._min
+        interval, since = self.resum_interval, self._evictions_since_resum
+        ratio = self.CANCELLATION_RATIO
+        count = len(entries)
+        out_mu: list[float] = []
+        out_var: list[float] = []
+        out_df: list[int | None] = []
+        try:
+            for mu, s2, size in zip(mus, sigma2s, sizes):
+                append((mu, s2, size))
+                t = ms + mu
+                if abs(ms) >= abs(mu):
+                    mc += (ms - t) + mu
+                else:
+                    mc += (mu - t) + ms
+                ms = t
+                t = vs + s2
+                if abs(vs) >= abs(s2):
+                    vc += (vs - t) + s2
+                else:
+                    vc += (s2 - t) + vs
+                vs = t
+                if size is not None:
+                    counts[size] = counts.get(size, 0) + 1
+                    if smin is None or size < smin:
+                        smin = size
+                count += 1
+                if count > window:
+                    old_mu, old_s2, old_size = popleft()
+                    count -= 1
+                    x = -old_mu
+                    t = ms + x
+                    if abs(ms) >= abs(x):
+                        mc += (ms - t) + x
+                    else:
+                        mc += (x - t) + ms
+                    ms = t
+                    x = -old_s2
+                    t = vs + x
+                    if abs(vs) >= abs(x):
+                        vc += (vs - t) + x
+                    else:
+                        vc += (x - t) + vs
+                    vs = t
+                    if old_size is not None:
+                        remaining = counts[old_size] - 1
+                        if remaining:
+                            counts[old_size] = remaining
+                        else:
+                            del counts[old_size]
+                            if old_size == smin:
+                                smin = min(counts) if counts else None
+                    since += 1
+                    if (
+                        since >= interval
+                        or abs(old_mu) > ratio * (abs(ms + mc) + 1.0)
+                        or abs(old_s2) > ratio * (abs(vs + vc) + 1.0)
+                    ):
+                        msum._sum, msum._comp = ms, mc
+                        vsum._sum, vsum._comp = vs, vc
+                        self._resum()
+                        ms, mc, vs, vc = msum._sum, 0.0, vsum._sum, 0.0
+                        since = 0
+                var = vs + vc
+                out_mu.append((ms + mc) / count)
+                out_var.append((0.0 if var < 0.0 else var) / (count * count))
+                out_df.append(smin)
+        finally:
+            # Write the running state back even if a member is bad.
+            msum._sum, msum._comp = ms, mc
+            vsum._sum, vsum._comp = vs, vc
+            tracker._min = smin
+            self._evictions_since_resum = since
+        return out_mu, out_var, out_df
 
     def evict_expired(self, cutoff: float) -> int:
         """Evict every member with ``timestamp <= cutoff``; returns count.

@@ -168,6 +168,12 @@ class UncertainTuple:
         """Copy with replaced attributes (probability/timestamp preserved)."""
         return UncertainTuple(attributes, self.probability, self.timestamp)
 
+    def with_value(self, name: str, value: object) -> "UncertainTuple":
+        """Copy with one attribute set (appended when new)."""
+        return UncertainTuple(
+            {**self.attributes, name: value}, self.probability, self.timestamp
+        )
+
     def scaled(self, factor: float) -> "UncertainTuple":
         """Copy with membership probability multiplied by ``factor``."""
         return UncertainTuple(

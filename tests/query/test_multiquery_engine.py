@@ -328,3 +328,75 @@ class TestEngineTelemetry:
         engine.detach_telemetry()
         list(engine.iter_results("s", _gaussian_tuple(5.0)))
         assert recorder.position == 1
+
+
+def _road_tuples(n: int):
+    from repro.core.dfsample import DfSized
+    from repro.distributions.gaussian import GaussianDistribution
+    from repro.streams.tuples import UncertainTuple
+
+    rng = np.random.default_rng(5)
+    return [
+        UncertainTuple(
+            {
+                "road_id": float(i),
+                "delay": DfSized(
+                    GaussianDistribution(
+                        float(rng.normal(60.0, 15.0)),
+                        float(rng.uniform(1.0, 30.0)),
+                    ),
+                    int(rng.integers(2, 40)),
+                ),
+            }
+        )
+        for i in range(n)
+    ]
+
+
+class TestComputedProjections:
+    """Standing queries whose SELECT list computes values.
+
+    Registering these used to raise ``AttributeError`` because the
+    shared-plan group read ``expr.name`` off every select item; now only
+    projections of plain columns get a column list, and computed items
+    run on the per-tuple executor under either sharing setting.
+    """
+
+    QUERIES = (
+        "SELECT road_id, delay * 2 AS d2 FROM t",
+        "SELECT road_id, SQRT(delay) AS root FROM t WHERE delay > 50",
+    )
+
+    def _callbacks(self, shared: bool, batched: bool) -> list:
+        import pickle
+
+        from repro.db import StreamDatabase
+
+        # SQRT of a Gaussian is Monte-Carlo evaluated: pin the seed.
+        db = StreamDatabase(
+            config=ExecutorConfig(seed=7), shared_subplans=shared
+        )
+        db.create_stream("t")
+        seen: list = []
+        for i, text in enumerate(self.QUERIES):
+            db.register_continuous(
+                f"q{i}", text, lambda r, i=i: seen.append((i, pickle.dumps(r)))
+            )
+        tuples = _road_tuples(40)
+        if batched:
+            db.insert_many("t", tuples)
+        else:
+            for tup in tuples:
+                db.insert("t", tup)
+        return seen
+
+    def test_register_and_insert_under_both_settings(self):
+        runs = [
+            self._callbacks(shared, batched)
+            for shared in (True, False)
+            for batched in (False, True)
+        ]
+        assert runs[0]
+        assert {i for i, _ in runs[0]} == {0, 1}
+        for other in runs[1:]:
+            assert other == runs[0]

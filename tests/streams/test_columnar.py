@@ -5,11 +5,23 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.accuracy import AccuracyInfo
+from repro.core.analytic import (
+    accuracy_from_stats,
+    distribution_accuracy,
+    moment_intervals,
+)
+from repro.core.bootstrap import (
+    bootstrap_accuracy_batch,
+    bootstrap_accuracy_info,
+    bootstrap_intervals,
+)
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import StreamError
+from repro.errors import AccuracyError, StreamError
 from repro.streams.columnar import (
     EXACT_SIZE,
+    AccuracyColumn,
     ArrayColumn,
     ColumnarBatch,
     FloatColumn,
@@ -18,6 +30,7 @@ from repro.streams.columnar import (
     ObjectColumn,
     as_columnar,
 )
+from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, Derive, Project, Select
 from repro.streams.tuples import UncertainTuple
 
@@ -255,3 +268,180 @@ class TestOperatorFastPaths:
         sink.process(UncertainTuple({"odd": "layout"}))
         assert len(sink.results) == 5
         assert sink.columnar_result() is None
+
+
+def _window_batch(sizes, seed=4):
+    """Window-average rows (``avg``) with the given sample sizes."""
+    rng = np.random.default_rng(seed)
+    return ColumnarBatch.from_tuples(
+        [
+            UncertainTuple(
+                {
+                    "item": i,
+                    "avg": DfSized(
+                        GaussianDistribution(
+                            float(rng.normal(100.0, 1.0)),
+                            float(rng.uniform(0.5, 2.0)),
+                        ),
+                        n,
+                    ),
+                }
+            )
+            for i, n in enumerate(sizes)
+        ]
+    )
+
+
+def _analytic_column(batch, confidence=0.9):
+    g = batch.gaussian_column("avg")
+    mean_lo, mean_hi, var_lo, var_hi, sizes = moment_intervals(
+        g.mu, g.sigma2, g.sizes, confidence
+    )
+    return AccuracyColumn.from_bounds(
+        mean_lo, mean_hi, var_lo, var_hi, sizes, confidence
+    )
+
+
+def _pickles(values):
+    return [pickle.dumps(v) for v in values]
+
+
+class TestAccuracyColumn:
+    """The column contract: rows are the per-row records, byte for byte."""
+
+    def test_rows_pickle_like_distribution_accuracy(self):
+        batch = _window_batch([20] * 5 + [3, 40, 2])
+        column = _analytic_column(batch)
+        g = batch.gaussian_column("avg")
+        expected = [
+            distribution_accuracy(
+                g.get(i).distribution, int(g.sizes[i]), 0.9
+            )
+            for i in range(len(batch))
+        ]
+        assert _pickles(column.get(i) for i in range(len(column))) == (
+            _pickles(expected)
+        )
+        assert _pickles(column.values()) == _pickles(expected)
+
+    @pytest.mark.parametrize("interval", ["percentile", "basic"])
+    def test_rows_pickle_like_bootstrap_accuracy_info(self, interval):
+        # 207 values at n = 10: 20 resamples, 7 values dropped per row.
+        matrix = np.random.default_rng(2).normal(100.0, 3.0, (6, 207))
+        mean_lo, mean_hi, var_lo, var_hi, used, dropped = (
+            bootstrap_intervals(matrix, 10, 0.9, interval)
+        )
+        column = AccuracyColumn.from_bounds(
+            mean_lo, mean_hi, var_lo, var_hi, 10, 0.9, "bootstrap",
+            used, dropped, 207, 1,
+        )
+        expected = [
+            bootstrap_accuracy_info(row, 10, 0.9, interval=interval)
+            for row in matrix
+        ]
+        assert _pickles(column.values()) == _pickles(expected)
+        assert _pickles(
+            bootstrap_accuracy_batch(matrix, 10, 0.9, interval=interval)
+        ) == _pickles(expected)
+
+    @pytest.mark.parametrize("use_shm", [False, True])
+    def test_payload_roundtrip(self, use_shm):
+        batch = _window_batch([20] * 600)
+        batch = batch.with_column("accuracy", _analytic_column(batch))
+        payload, owners = batch.to_payload(use_shm=use_shm)
+        try:
+            assert bool(owners) == use_shm
+            assert payload.objects == {}
+            restored = ColumnarBatch.from_payload(
+                pickle.loads(pickle.dumps(payload))
+            )
+        finally:
+            for owner in owners:
+                owner.release()
+        assert isinstance(restored.column("accuracy"), AccuracyColumn)
+        assert restored == batch
+        assert _pickles(restored) == _pickles(batch)
+
+    def test_take_slice_concat_interleave(self):
+        batch = _window_batch([20, 3, 40, 2, 20, 7, 9])
+        batch = batch.with_column("accuracy", _analytic_column(batch))
+        rows = _pickles(batch)
+        assert _pickles(batch.slice(2, 5)) == rows[2:5]
+        assert _pickles(batch.take([6, 0, 3])) == [rows[6], rows[0], rows[3]]
+        assert ColumnarBatch.concat(
+            [batch.slice(0, 3), batch.slice(3, 7)]
+        ) == batch
+        evens, odds = [0, 2, 4, 6], [1, 3, 5]
+        merged = ColumnarBatch.interleave(
+            [batch.take(evens), batch.take(odds)], [evens, odds], 7
+        )
+        assert merged == batch
+        assert _pickles(merged) == rows
+
+    def test_equal_and_merge_respect_metadata(self):
+        batch = _window_batch([20, 30])
+        a = _analytic_column(batch, 0.9)
+        b = _analytic_column(batch, 0.95)
+        assert a.equal(a.take(np.arange(2)))
+        assert not a.equal(b)
+        with pytest.raises(StreamError, match="metadata"):
+            AccuracyColumn.concat([a, b])
+
+    def test_inverted_row_raises_the_per_row_error(self):
+        with pytest.raises(AccuracyError) as per_row:
+            AccuracyInfo.from_bounds(1.0, 0.5, 0.0, 1.0, 0.9, 20)
+        with pytest.raises(AccuracyError) as column:
+            AccuracyColumn.from_bounds(
+                np.array([0.0, 1.0]),
+                np.array([1.0, 0.5]),
+                np.zeros(2),
+                np.ones(2),
+                20,
+                0.9,
+            )
+        assert str(column.value) == str(per_row.value)
+
+    def test_bad_row_fails_at_push_many(self):
+        from repro.experiments.fig5_throughput import _AnalyticAccuracy
+
+        batch = _window_batch([20] * 6)
+        g = batch.gaussian_column("avg")
+        mu = g.mu.copy()
+        mu[3] = float("nan")
+        bad = batch.with_column(
+            "avg", GaussianDfColumn(mu, g.sigma2, g.sizes)
+        )
+        with pytest.raises(AccuracyError) as per_row:
+            accuracy_from_stats(mu[3], float(g.sigma2[3]), 20, 0.9)
+        pipeline = Pipeline([_AnalyticAccuracy("avg"), CollectSink()])
+        with pytest.raises(AccuracyError) as batched:
+            pipeline.push_many(bad)
+        assert type(batched.value) is type(per_row.value)
+        assert str(batched.value) == str(per_row.value)
+        assert len(pipeline.sink.results) == 0
+
+    def test_bootstrap_stage_scatters_size_groups(self):
+        from repro.experiments.fig5_throughput import _BootstrapAccuracy
+
+        sizes = [10, 20, 10, 20, 10, 5]
+        batch = _window_batch(sizes)
+        pipeline = Pipeline([_BootstrapAccuracy("avg", seed=3), CollectSink()])
+        pipeline.push_many(batch)
+        out = pipeline.sink.columnar_result()
+        assert isinstance(out.column("accuracy"), AccuracyColumn)
+        # Reference: each size group, in order of first appearance,
+        # draws one (rows, 20 n) matrix from the stage's generator.
+        rng = np.random.default_rng(3)
+        g = batch.gaussian_column("avg")
+        expected = [None] * len(sizes)
+        for n in dict.fromkeys(sizes):
+            idx = [i for i, size in enumerate(sizes) if size == n]
+            matrix = rng.normal(
+                g.mu[idx][:, None], np.sqrt(g.sigma2[idx])[:, None],
+                (len(idx), 20 * n),
+            )
+            for i, info in zip(
+                idx, bootstrap_accuracy_batch(matrix, n, 0.9)
+            ):
+                expected[i] = info
+        assert _pickles(out.column("accuracy").values()) == _pickles(expected)

@@ -9,6 +9,7 @@ relative error for the compensated/Welford float paths.
 """
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -208,3 +209,147 @@ def test_partial_state_exact_right_after_resum(values):
             if evictions % interval == 0 and len(window) >= 1:
                 # Just re-summed: mean equals the fsum reference exactly.
                 assert state.mean == math.fsum(window) / len(window)
+
+
+# -- the slide kernel ---------------------------------------------------------
+
+# Magnitudes from 1e-3 to 1e12 in one stream: evicting a huge member
+# next to small survivors trips the cancellation re-sum.
+member_means = st.one_of(
+    finite_floats, st.sampled_from([1e12, -1e12, 3e11, 1e-3, 0.0, -0.0])
+)
+member_variances = st.one_of(
+    st.floats(0.0, 1e12), st.sampled_from([1e12, 0.0, 1e-9])
+)
+member_sizes = st.one_of(st.none(), st.integers(min_value=1, max_value=60))
+members = st.lists(
+    st.tuples(member_means, member_variances, member_sizes),
+    min_size=1,
+    max_size=150,
+)
+
+
+def _bits(values):
+    """Exact float identity (signed zeros included) for comparisons."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _runs(n, cuts):
+    """Split ``range(n)`` into consecutive runs at the given cut points."""
+    edges = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    return list(zip(edges, edges[1:]))
+
+
+@given(
+    stream=members,
+    window=st.integers(min_value=1, max_value=16),
+    resum_interval=st.integers(min_value=1, max_value=9),
+    cuts=st.lists(st.integers(min_value=0, max_value=150), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_slide_is_push_evict_bitwise(stream, window, resum_interval, cuts):
+    reference = RollingWindowStats(resum_interval)
+    expected = []
+    for mu, s2, size in stream:
+        reference.push(mu, s2, size)
+        if reference.count > window:
+            reference.evict_oldest()
+        k = reference.count
+        expected.append(
+            (reference.mean_sum / k, reference.var_sum / (k * k),
+             reference.df_size)
+        )
+    fast = RollingWindowStats(resum_interval)
+    got = []
+    for a, b in _runs(len(stream), cuts):
+        mus, s2s, sizes = zip(*stream[a:b])
+        got.extend(zip(*fast.slide(mus, s2s, sizes, window)))
+        # Step by step: the accessors agree after every run too.
+        assert fast.count == min(b, window)
+    for (e_mu, e_var, e_df), (g_mu, g_var, g_df) in zip(expected, got):
+        assert _bits([e_mu, e_var]) == _bits([g_mu, g_var])
+        assert e_df == g_df
+    assert len(got) == len(expected)
+    assert fast.resums == reference.resums
+    assert _bits([fast.last_drift]) == _bits([reference.last_drift])
+    assert _bits([fast.mean_sum, fast.var_sum]) == _bits(
+        [reference.mean_sum, reference.var_sum]
+    )
+    assert fast.df_size == reference.df_size
+    assert list(fast.members()) == list(reference.members())
+
+
+@pytest.mark.parametrize(
+    "huge", [(1e12, 1.0), (1.0, 1e12)], ids=["mean", "variance"]
+)
+def test_slide_takes_the_cancellation_resum(huge):
+    # Periodic re-sums never fire here; only cancellation of the one
+    # huge mean (or variance) can.
+    stream = [(*huge, 5), (1.0, 1.0, 5), (2.0, 1.0, 5), (3.0, 1.0, 5)]
+    reference = RollingWindowStats(resum_interval=10_000)
+    for mu, s2, size in stream:
+        reference.push(mu, s2, size)
+        if reference.count > 2:
+            reference.evict_oldest()
+    fast = RollingWindowStats(resum_interval=10_000)
+    fast.slide(*zip(*stream), 2)
+    assert reference.resums >= 1
+    assert fast.resums == reference.resums
+    assert _bits([fast.mean_sum, fast.var_sum]) == _bits(
+        [reference.mean_sum, reference.var_sum]
+    )
+
+
+@given(
+    stream=members,
+    window=st.integers(min_value=1, max_value=12),
+    resum_interval=st.integers(min_value=1, max_value=5),
+    emit_partial=st.booleans(),
+    cuts=st.lists(st.integers(min_value=0, max_value=150), max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_operator_scalar_equals_batched(
+    stream, window, resum_interval, emit_partial, cuts
+):
+    from repro.obs.metrics import MetricsRegistry
+    from repro.streams.columnar import ColumnarBatch
+    from repro.streams.operators import SlidingGaussianAverage
+
+    tuples = [
+        UncertainTuple(
+            {"x": DfSized(GaussianDistribution(mu, s2), size)}
+        )
+        for mu, s2, size in stream
+    ]
+    sinks, registries = [], []
+    for batched in (False, True):
+        registry = MetricsRegistry()
+        sink = CollectSink()
+        op = SlidingGaussianAverage(
+            "x", window, emit_partial=emit_partial,
+            resum_interval=resum_interval,
+        )
+        pipeline = Pipeline([op, sink], registry=registry)
+        try:
+            if batched:
+                for a, b in _runs(len(tuples), cuts):
+                    pipeline.push_many(
+                        ColumnarBatch.from_tuples(tuples[a:b])
+                    )
+            else:
+                for tup in tuples:
+                    pipeline.push(tup)
+        except Exception as exc:  # noqa: BLE001 - both paths must agree
+            sinks.append(type(exc))
+            registries.append(None)
+            continue
+        sinks.append([pickle.dumps(t) for t in sink.results])
+        registries.append(
+            {
+                name: state
+                for name, state in registry.snapshot().items()
+                if ".rolling." in name
+            }
+        )
+    assert sinks[0] == sinks[1]
+    assert registries[0] == registries[1]
